@@ -25,7 +25,7 @@ Package map (see DESIGN.md for the full inventory):
 * :mod:`repro.core` — Algorithms 1-3, TIM and TIM+;
 * :mod:`repro.algorithms` — Greedy, CELF, CELF++, RIS, IRIE, SIMPATH, ...;
 * :mod:`repro.api` — the unified typed surface: :class:`ExecutionPolicy`
-  (one validated object for engine/jobs/tracing/ε/ℓ),
+  (one validated object for jobs/tracing/ε/ℓ),
   :class:`InfluenceSession` (graph + sketch + pool facade), and the
   versioned request/response ops behind the query service and CLI;
 * :mod:`repro.analysis` — Chernoff bounds, exact oracles, cost models;
@@ -69,7 +69,6 @@ from repro.graphs import (
 )
 from repro.rrset import (
     FlatRRCollection,
-    RRCollection,
     RRSet,
     greedy_max_coverage,
     make_rr_sampler,
@@ -122,7 +121,6 @@ __all__ = [
     "uniform_random_lt",
     "weighted_cascade",
     "FlatRRCollection",
-    "RRCollection",
     "RRSet",
     "greedy_max_coverage",
     "make_rr_sampler",

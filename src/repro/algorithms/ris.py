@@ -21,14 +21,13 @@ import math
 import numpy as np
 
 from repro.algorithms.base import register_algorithm
-from repro.api.policy import DEPRECATED, ExecutionPolicy, resolve_call_policy
+from repro.api.policy import ExecutionPolicy
 from repro.obs import runtime as obs
-from repro.parallel import jobs_for_engine, maybe_parallel
+from repro.parallel import maybe_parallel
 from repro.core.results import InfluenceMaxResult
 from repro.diffusion.base import resolve_model
 from repro.graphs.digraph import DiGraph
 from repro.rrset.base import make_rr_sampler
-from repro.rrset.collection import RRCollection
 from repro.rrset.coverage import greedy_max_coverage
 from repro.rrset.flat_collection import FlatRRCollection
 from repro.utils.rng import resolve_rng
@@ -57,9 +56,6 @@ def ris(
     ell: float | None = None,
     tau_constant: float = 1.0,
     max_rr_sets: int | None = None,
-    engine=DEPRECATED,
-    sketch_index=DEPRECATED,
-    jobs=DEPRECATED,
     *,
     policy: ExecutionPolicy | None = None,
     index=None,
@@ -70,87 +66,65 @@ def ris(
     edgeless graph where per-set cost is 1 and τ is large); it is never hit
     in the benches.
 
-    ``engine="vectorized"`` (default) streams numpy-batched RR sets into a
-    flat collection, truncating the final batch at the first set whose
-    cumulative cost crosses τ — the same stopping rule as the scalar loop,
-    faithful to Borgs et al.'s coupled sampling (including the flaw).
-    ``engine="python"`` keeps the original one-set-at-a-time loop.
+    Numpy-batched RR sets stream into a flat collection, and the final
+    batch is truncated right after the first set whose cumulative cost
+    crosses τ: Borgs et al.'s stopping rule, coupled sampling and flaw
+    included.
 
-    ``sketch_index`` (service mode, implies the vectorized path) makes the
-    call run *through* a :class:`~repro.sketch.index.SketchIndex`: cost
-    already accumulated by the sketch counts toward τ, any shortfall is
-    sampled and appended warm-start style, and max coverage runs on the
-    index's prebuilt postings.  Note this departs from Borgs et al.'s
-    strictly coupled sampling exactly as much as reusing a sketch does.
+    ``index`` (service mode) makes the call run *through* a
+    :class:`~repro.sketch.index.SketchIndex`: cost already accumulated by
+    the sketch counts toward τ, any shortfall is sampled and appended
+    warm-start style, and max coverage runs on the index's prebuilt
+    postings.  Note this departs from Borgs et al.'s strictly coupled
+    sampling exactly as much as reusing a sketch does.
 
-    ``policy=`` (an :class:`~repro.api.policy.ExecutionPolicy`) is the
-    modern way to set engine/jobs — and, like every policy-aware entry
-    point, a passed policy's ``epsilon``/``ell`` govern the τ budget.
-    Without a policy, ``epsilon`` keeps RIS's historical ``0.2`` default
-    (coarser than the library-wide ``0.1``: RIS pays ε⁻³).  The legacy
-    ``engine=`` / ``jobs=`` / ``sketch_index=`` keywords still work behind
-    a :class:`DeprecationWarning` with identical results.
+    ``policy=`` (an :class:`~repro.api.policy.ExecutionPolicy`) sets the
+    worker pool — and, like every policy-aware entry point, a passed
+    policy's ``epsilon``/``ell`` govern the τ budget.  Without a policy,
+    ``epsilon`` keeps RIS's historical ``0.2`` default (coarser than the
+    library-wide ``0.1``: RIS pays ε⁻³).
     """
-    resolved_policy, index = resolve_call_policy(
-        "ris()", policy, engine=engine, jobs=jobs, sketch_index=sketch_index,
-        index=index,
-    )
-    sketch_index = index
+    resolved_policy = ExecutionPolicy.coerce(policy)
     if epsilon is None:
         epsilon = resolved_policy.epsilon if policy is not None else 0.2
     ell = resolved_policy.ell if ell is None else ell
-    engine = resolved_policy.engine
-    jobs = resolved_policy.jobs
     check_k(k, graph.n)
     resolved = resolve_model(model)
     resolved.validate_graph(graph)
     source = resolve_rng(rng)
-    if sketch_index is None:
-        # With a sketch index, sampling always takes the flat batch path,
-        # so jobs stays useful even under engine="python".
-        jobs = jobs_for_engine(engine, jobs, stacklevel=2)
-    sampler, owned_pool = maybe_parallel(make_rr_sampler(graph, resolved), jobs)
+    sampler, owned_pool = maybe_parallel(make_rr_sampler(graph, resolved), resolved_policy.jobs)
     tau = ris_threshold(graph.n, graph.m, k, epsilon, ell, tau_constant)
 
     started = obs.now()
     sketch_sets_reused = 0
     try:
-        if sketch_index is not None or engine == "vectorized":
-            if sketch_index is not None:
-                collection = sketch_index.collection
-                sketch_sets_reused = len(collection)
-                commit = sketch_index.extend_flat  # keeps the index's caches honest
-            else:
-                collection = FlatRRCollection(graph.n, graph.m)
-                commit = collection.extend_flat
-            batch_size = 64
-            while collection.total_cost < tau:
-                if max_rr_sets is not None and len(collection) >= max_rr_sets:
-                    break
-                batch = sampler.sample_random_batch(batch_size, source)
-                # Keep the prefix up to and including the set that crosses the
-                # remaining budget — identical stopping rule to the scalar loop.
-                cumulative = np.cumsum(batch.costs_array) + collection.total_cost
-                crossing = int(np.searchsorted(cumulative, tau, side="left"))
-                take = len(batch) if crossing >= len(batch) else crossing + 1
-                if max_rr_sets is not None:
-                    take = min(take, max_rr_sets - len(collection))
-                if take < len(batch):
-                    batch.truncate(take)
-                commit(batch)
-                batch_size = min(batch_size * 2, 8192)
-            if sketch_index is not None:
-                coverage = sketch_index.select(k)
-            else:
-                coverage = greedy_max_coverage(collection, graph.n, k)
+        if index is not None:
+            collection = index.collection
+            sketch_sets_reused = len(collection)
+            commit = index.extend_flat  # keeps the index's caches honest
         else:
-            collection = RRCollection(graph.n, graph.m)
-            randrange = source.py.randrange
-            while collection.total_cost < tau:
-                collection.append(sampler.sample_rooted(randrange(graph.n), source))
-                if max_rr_sets is not None and len(collection) >= max_rr_sets:
-                    break
-            coverage = greedy_max_coverage(collection.sets, graph.n, k)
+            collection = FlatRRCollection(graph.n, graph.m)
+            commit = collection.extend_flat
+        batch_size = 64
+        while collection.total_cost < tau:
+            if max_rr_sets is not None and len(collection) >= max_rr_sets:
+                break
+            batch = sampler.sample_random_batch(batch_size, source)
+            # Keep the prefix up to and including the set that crosses the
+            # remaining budget.
+            cumulative = np.cumsum(batch.costs_array) + collection.total_cost
+            crossing = int(np.searchsorted(cumulative, tau, side="left"))
+            take = len(batch) if crossing >= len(batch) else crossing + 1
+            if max_rr_sets is not None:
+                take = min(take, max_rr_sets - len(collection))
+            if take < len(batch):
+                batch.truncate(take)
+            commit(batch)
+            batch_size = min(batch_size * 2, 8192)
+        if index is not None:
+            coverage = index.select(k)
+        else:
+            coverage = greedy_max_coverage(collection, graph.n, k)
     finally:
         if owned_pool:
             sampler.close()

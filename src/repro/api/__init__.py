@@ -3,8 +3,8 @@
 Three layers, consumed together or separately:
 
 * :class:`~repro.api.policy.ExecutionPolicy` — one frozen, validated
-  object for every execution knob (engine, jobs, trace_edges, ε, ℓ,
-  sketch reuse) with explicit env/CLI/call-site resolution;
+  object for every execution knob (jobs, trace_edges, ε, ℓ, sketch
+  reuse) with explicit env/CLI/call-site resolution;
 * :class:`~repro.api.session.InfluenceSession` — the Python caller's
   facade owning graph + dynamic overlay + sketch + pool lifecycle;
 * :mod:`repro.api.ops` — the versioned typed request/response operations
@@ -12,10 +12,6 @@ Three layers, consumed together or separately:
   ``schema_version``) that are the single protocol behind
   :class:`~repro.sketch.service.InfluenceService`, ``run_batch``, and the
   ``serve``/``update`` CLI subcommands.
-
-Legacy per-call keywords (``engine=``, ``jobs=``, ``sketch_index=``) and
-dict-based ``InfluenceService.query`` keep working behind deprecation
-shims with byte-identical results for identical seeds.
 """
 
 from typing import Any
@@ -39,13 +35,11 @@ from repro.api.ops import (
     parse_request,
     response_from_wire,
 )
-from repro.api.policy import DEPRECATED, ENGINES, ExecutionPolicy, warn_legacy_kwargs
+from repro.api.policy import ExecutionPolicy
 
 __all__ = [
     "SCHEMA_VERSION",
     "ApiError",
-    "DEPRECATED",
-    "ENGINES",
     "ErrorResponse",
     "ExecutionPolicy",
     "InfluenceSession",
@@ -63,7 +57,6 @@ __all__ = [
     "UpdateResponse",
     "parse_request",
     "response_from_wire",
-    "warn_legacy_kwargs",
 ]
 
 

@@ -1,9 +1,8 @@
 """`ExecutionPolicy` — one validated object for every execution knob.
 
-Four subsystems (vectorized engine, sketch index, parallel sharding,
-dynamic repair) each grew their own keyword on every entry point:
-``engine=``, ``jobs=``, ``sketch_index=``, ``trace_edges=``, plus the
-accuracy pair ``epsilon``/``ell``.  The policy consolidates them into a
+The sketch index, parallel sharding and dynamic repair each configure
+how a run executes (``jobs``, ``trace_edges``), next to the accuracy pair
+``epsilon``/``ell``.  The policy consolidates these knobs into a
 single frozen, validated value object that the TIM drivers, the sketch
 subsystem, :class:`~repro.api.session.InfluenceSession`, the
 :class:`~repro.sketch.service.InfluenceService` and the CLI all share —
@@ -21,119 +20,24 @@ Every field is *total*: a policy always carries a concrete value, so code
 consuming one never needs a fallback chain.  ``merge`` skips ``None``
 overrides, which is what lets optional CLI flags / function arguments layer
 over a base policy without clobbering it.
-
-The legacy per-call keywords (``tim(..., engine=..., jobs=...,
-sketch_index=...)``) keep working through the :data:`DEPRECATED` sentinel
-and :func:`warn_legacy_kwargs`: explicit use emits a
-:class:`DeprecationWarning` and folds into a policy internally, producing
-byte-identical results for identical seeds.
 """
 
 from __future__ import annotations
 
 import os
-import warnings
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, fields, replace
 from typing import Any
 
 from repro.utils.validation import check_ell, check_epsilon, require
 
-__all__ = [
-    "DEPRECATED",
-    "ENGINES",
-    "ExecutionPolicy",
-    "resolve_call_policy",
-    "warn_legacy_kwargs",
-]
-
-#: The RR sampling/storage engines the library implements.
-ENGINES = ("vectorized", "python")
-
-
-class _Deprecated:
-    """Sentinel default for keywords kept only for backward compatibility.
-
-    Distinguishes "caller never passed this" from every real value
-    (including ``None``, which is meaningful for ``jobs``).
-    """
-
-    _instance: "_Deprecated | None" = None
-
-    def __new__(cls) -> "_Deprecated":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "<deprecated>"
-
-    def __reduce__(self) -> tuple[Any, ...]:
-        return (_Deprecated, ())
-
-
-#: Default for deprecated keywords; never pass it explicitly.
-DEPRECATED = _Deprecated()
-
-
-def warn_legacy_kwargs(where: str, names: Iterable[str], *, stacklevel: int = 3) -> None:
-    """Emit the uniform deprecation message for legacy execution keywords."""
-    listed = ", ".join(sorted(names))
-    warnings.warn(
-        f"{where}: the {listed} keyword(s) are deprecated; pass "
-        f"policy=ExecutionPolicy(...) instead (and route sketch reuse "
-        f"through repro.api.InfluenceSession or the index= keyword). "
-        f"Results are identical either way.",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-
-
-def resolve_call_policy(
-    where: str,
-    policy: "ExecutionPolicy | dict[str, Any] | None",
-    *,
-    engine: Any = DEPRECATED,
-    jobs: Any = DEPRECATED,
-    sketch_index: Any = DEPRECATED,
-    index: Any = None,
-    stacklevel: int = 4,
-) -> "tuple[ExecutionPolicy, Any]":
-    """Fold a call's legacy keywords into an :class:`ExecutionPolicy`.
-
-    The shared shim behind ``tim``/``tim_plus``/``ris``: sentinel-guarded
-    ``engine=``/``jobs=``/``sketch_index=`` keywords emit one
-    :class:`DeprecationWarning` (naming every legacy keyword used) and then
-    merge into the policy, so the legacy path and the policy path are the
-    *same* path — byte-identical results by construction.  Returns
-    ``(policy, index)`` with the legacy ``sketch_index`` routed to
-    ``index`` when the caller did not pass the modern keyword.
-    """
-    legacy: dict[str, Any] = {}
-    if engine is not DEPRECATED:
-        legacy["engine"] = engine
-    if jobs is not DEPRECATED:
-        legacy["jobs"] = jobs
-    if sketch_index is not DEPRECATED:
-        legacy["sketch_index"] = sketch_index
-    if legacy:
-        warn_legacy_kwargs(where, legacy, stacklevel=stacklevel)
-    resolved = ExecutionPolicy.coerce(policy).merge(engine=legacy.get("engine"))
-    if "jobs" in legacy and legacy["jobs"] != resolved.jobs:
-        # Unlike merge(), an explicitly passed legacy jobs=None must win:
-        # it is the old API's spelling of "single stream".
-        resolved = replace(resolved, jobs=legacy["jobs"])
-    if index is None:
-        index = legacy.get("sketch_index")
-    return resolved, index
-
+__all__ = ["ExecutionPolicy"]
 
 _TRUE_STRINGS = frozenset({"1", "true", "yes", "on"})
 _FALSE_STRINGS = frozenset({"0", "false", "no", "off"})
 
 #: Environment variables :meth:`ExecutionPolicy.from_env` understands.
 _ENV_VARS = {
-    "engine": "REPRO_ENGINE",
     "jobs": "REPRO_JOBS",
     "trace_edges": "REPRO_TRACE_EDGES",
     "epsilon": "REPRO_EPSILON",
@@ -161,17 +65,13 @@ def _parse_bool(text: str, variable: str) -> bool:
 class ExecutionPolicy:
     """How a run executes — never *what* it computes.
 
-    Two policies that differ only in ``engine``/``jobs`` produce
-    byte-identical seed sets, KPT estimates, and sketch bytes for equal
-    seeds; ``trace_edges`` changes only the extra arrays stored.  The
-    accuracy pair ``epsilon``/``ell`` *does* change θ (and therefore the
-    sample), exactly as the per-call keywords always did.
+    Two policies that differ only in ``jobs`` produce byte-identical seed
+    sets, KPT estimates, and sketch bytes for equal seeds; ``trace_edges``
+    changes only the extra arrays stored.  The accuracy pair
+    ``epsilon``/``ell`` *does* change θ (and therefore the sample).
 
     Fields
     ------
-    engine:
-        ``"vectorized"`` (numpy-batched flat RR engine, default) or
-        ``"python"`` (scalar ablation baseline).
     jobs:
         Worker processes for RR generation: ``None`` = legacy single
         stream (default), ``0`` = all cores, ``n >= 1`` = that many.
@@ -209,7 +109,6 @@ class ExecutionPolicy:
         the TIM KPT derivation.  Normalized to lowercase.
     """
 
-    engine: str = "vectorized"
     jobs: int | None = None
     trace_edges: bool = False
     epsilon: float = 0.1
@@ -220,8 +119,6 @@ class ExecutionPolicy:
     algorithm: str = "tim"
 
     def __post_init__(self) -> None:
-        require(self.engine in ENGINES,
-                f"engine must be one of {ENGINES}; got {self.engine!r}")
         if self.jobs is not None:
             require(isinstance(self.jobs, int) and not isinstance(self.jobs, bool),
                     f"jobs must be an integer or None; got {self.jobs!r}")
@@ -299,9 +196,9 @@ class ExecutionPolicy:
     @classmethod
     def from_env(cls, env: Mapping[str, str] | None = None,
                  base: "ExecutionPolicy | None" = None) -> "ExecutionPolicy":
-        """Resolve ``REPRO_ENGINE`` / ``REPRO_JOBS`` / ``REPRO_TRACE_EDGES``
-        / ``REPRO_EPSILON`` / ``REPRO_ELL`` / ``REPRO_METRICS`` /
-        ``REPRO_DEADLINE_MS`` over ``base`` (or defaults)."""
+        """Resolve ``REPRO_JOBS`` / ``REPRO_TRACE_EDGES`` / ``REPRO_EPSILON``
+        / ``REPRO_ELL`` / ``REPRO_METRICS`` / ``REPRO_DEADLINE_MS`` /
+        ``REPRO_ALGORITHM`` over ``base`` (or defaults)."""
         env = os.environ if env is None else env
         overrides: dict[str, Any] = {}
         for field_name, variable in _ENV_VARS.items():
@@ -326,15 +223,16 @@ class ExecutionPolicy:
                   *, env: Mapping[str, str] | None = None) -> "ExecutionPolicy":
         """Resolve CLI flags over the environment over ``base``.
 
-        ``args`` is any object with optional ``engine`` / ``jobs`` /
-        ``trace_edges`` / ``epsilon`` / ``ell`` attributes (an argparse
-        namespace); missing or ``None`` attributes stay unset so absent
-        flags never clobber the environment layer.
+        ``args`` is any object with optional ``jobs`` / ``trace_edges`` /
+        ``epsilon`` / ``ell`` / ``metrics`` / ``deadline_ms`` /
+        ``algorithm`` attributes (an argparse namespace); missing or
+        ``None`` attributes stay unset so absent flags never clobber the
+        environment layer.
         """
         resolved = cls.from_env(env=env, base=base)
         overrides = {
             name: getattr(args, name, None)
-            for name in ("engine", "jobs", "trace_edges", "epsilon", "ell",
+            for name in ("jobs", "trace_edges", "epsilon", "ell",
                          "metrics", "deadline_ms", "algorithm")
         }
         return resolved.merge(**overrides)
@@ -344,7 +242,3 @@ class ExecutionPolicy:
     # ------------------------------------------------------------------
     def as_dict(self) -> dict[str, Any]:
         return {name: getattr(self, name) for name in self.field_names()}
-
-    def sampling_kwargs(self) -> dict[str, Any]:
-        """The subset every sampling entry point understands."""
-        return {"engine": self.engine, "jobs": self.jobs}

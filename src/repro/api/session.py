@@ -75,8 +75,8 @@ class InfluenceSession:
         Diffusion model name or instance for every query in this session.
     policy:
         The :class:`ExecutionPolicy` (or a dict of its fields / ``None``
-        for defaults) governing engine, worker pool, tracing, accuracy,
-        and sketch reuse.
+        for defaults) governing the worker pool, tracing, accuracy, and
+        sketch reuse.
     rng:
         Seed or source; all sampling determinism flows from it.
     default_k:

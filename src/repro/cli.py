@@ -36,24 +36,17 @@ __all__ = ["main", "build_parser"]
 
 
 def _execution_parent() -> argparse.ArgumentParser:
-    """The shared ``--engine`` / ``--jobs`` / ``--trace-edges`` flags.
+    """The shared ``--jobs`` / ``--trace-edges`` / ``--metrics-out`` /
+    ``--deadline-ms`` flags.
 
     One parent parser serves ``run``/``sketch``/``serve``/``update`` so the
     flags (names, choices, defaults) cannot drift between subcommands.
     Every default is ``None`` = "unset": resolution happens in
     :meth:`repro.api.ExecutionPolicy.from_args`, layering CLI flags over
-    ``REPRO_ENGINE`` / ``REPRO_JOBS`` / ``REPRO_TRACE_EDGES`` environment
-    variables over library defaults.
+    the ``REPRO_*`` environment variables over library defaults.
     """
     parent = argparse.ArgumentParser(add_help=False)
     group = parent.add_argument_group("execution policy")
-    group.add_argument(
-        "--engine",
-        choices=["vectorized", "python"],
-        default=None,
-        help="RR sampling/storage engine (default: vectorized; "
-        "python = scalar ablation baseline)",
-    )
     group.add_argument(
         "--jobs",
         type=int,
@@ -280,16 +273,11 @@ def _command_run(args) -> int:
     if supports_policy(args.algorithm):
         base = _RIS_DEFAULTS if args.algorithm.lower() == "ris" else None
         kwargs["policy"] = _resolve_policy(args, base=base)
-    else:
-        for flag in ("engine", "jobs"):
-            if getattr(args, flag) is not None:
-                policy_aware = sorted(
-                    name for name in algorithm_names() if supports_policy(name)
-                )
-                raise SystemExit(
-                    f"--{flag.replace('_', '-')} applies to "
-                    f"{policy_aware}, not {args.algorithm!r}"
-                )
+    elif args.jobs is not None:
+        policy_aware = sorted(
+            name for name in algorithm_names() if supports_policy(name)
+        )
+        raise SystemExit(f"--jobs applies to {policy_aware}, not {args.algorithm!r}")
     model = args.model
     if args.horizon is not None:
         if args.model != "IC":

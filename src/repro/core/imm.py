@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
-from repro.api.policy import ExecutionPolicy, resolve_call_policy
+from repro.api.policy import ExecutionPolicy
 from repro.core.parameters import (
     adjusted_ell_tim,
     apply_theta_cap,
@@ -49,7 +49,6 @@ from repro.core.results import IMMResult
 from repro.diffusion.base import resolve_model
 from repro.faults import injection as faults
 from repro.obs import runtime as obs
-from repro.parallel import jobs_for_engine
 from repro.utils.rng import resolve_rng
 from repro.utils.timer import PhaseTimer
 from repro.utils.validation import check_ell, check_epsilon, check_k, require
@@ -205,8 +204,8 @@ def imm(
         exists so exploratory runs on tiny budgets cannot run away.
     policy:
         The :class:`~repro.api.policy.ExecutionPolicy` governing execution.
-        Two policies differing only in ``engine``/``jobs`` return
-        byte-identical seed sets for equal seeds.
+        Two policies differing only in ``jobs`` return byte-identical seed
+        sets for equal seeds.
     index:
         Optional :class:`~repro.sketch.index.SketchIndex` to run *through*:
         RR sets it already holds feed the lower-bound search directly and
@@ -220,7 +219,7 @@ def imm(
         Seeds plus the martingale diagnostics: LB, λ′, λ*, θ, lower-bound
         iterations, per-phase RR-set counts and wall-clock.
     """
-    resolved_policy, index = resolve_call_policy("imm()", policy, index=index)
+    resolved_policy = ExecutionPolicy.coerce(policy)
     epsilon = resolved_policy.epsilon if epsilon is None else epsilon
     ell = resolved_policy.ell if ell is None else ell
     require(graph.n >= 2, "influence maximization needs at least two nodes")
@@ -233,11 +232,10 @@ def imm(
     # Two n^{−ℓ} failure events (sampling phase and selection), exactly
     # TIM's union-bound situation — reuse its 2 n^{−ℓ} → n^{−ℓ} scaling.
     ell_adjusted = adjusted_ell_tim(ell, graph.n)
-    jobs = jobs_for_engine(resolved_policy.engine, resolved_policy.jobs, stacklevel=2)
     obs.add("imm.runs")
 
     owned = index is None
-    if owned:
+    if index is None:
         from repro.rrset.flat_collection import FlatRRCollection
         from repro.sketch.index import SketchIndex
 
@@ -245,7 +243,7 @@ def imm(
             graph.n, graph.m, track_traces=resolved_policy.trace_edges
         )
         index = SketchIndex(
-            collection, graph=graph, model=resolved_model, jobs=jobs
+            collection, graph=graph, model=resolved_model, jobs=resolved_policy.jobs
         )
     else:
         require(index.num_nodes == graph.n,
@@ -272,7 +270,6 @@ def imm(
         estimated_spread=graph.n * selection.fraction,
         phase_seconds=dict(growth.phase_seconds),
         extras={
-            "engine": resolved_policy.engine,
             "sketch_sets_reused": sets_reused,
             "theta_capped": growth.theta_capped,
         },

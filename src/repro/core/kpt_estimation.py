@@ -10,25 +10,21 @@ the sample budget per iteration and stops the first time the running mean
 clears the ``2^{−i}`` threshold, which (Lemmas 6–7) pins KPT* within
 ``[KPT/4, OPT]`` with probability ``1 − n^{−ℓ}``.
 
-Two engines drive the sampling (``engine`` parameter):
-
-* ``"vectorized"`` (default) — each iteration's batch is generated by the
-  sampler's numpy-batched :meth:`~repro.rrset.base.RRSampler.sample_batch`
-  path into a :class:`~repro.rrset.flat_collection.FlatRRCollection`, and
-  ``Σ κ(R)`` is one vectorised expression over the width array.
-* ``"python"`` — the original per-set scalar loop, kept for the ablation
-  bench and as a distributional cross-check.
+Each iteration's batch is generated by the sampler's numpy-batched
+:meth:`~repro.rrset.base.RRSampler.sample_batch` path into a
+:class:`~repro.rrset.flat_collection.FlatRRCollection`, and ``Σ κ(R)`` is
+one vectorised expression over the width array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.api.policy import DEPRECATED, ExecutionPolicy, resolve_call_policy
+from repro.api.policy import ExecutionPolicy
 from repro.core.parameters import kpt_max_iterations, kpt_samples_per_iteration
 from repro.obs import runtime as obs
-from repro.parallel import jobs_for_engine, maybe_parallel
-from repro.rrset.base import RRSampler, RRSet
+from repro.parallel import maybe_parallel
+from repro.rrset.base import RRSampler
 from repro.rrset.flat_collection import FlatRRCollection
 from repro.utils.rng import resolve_rng
 from repro.utils.validation import check_ell, check_k, require
@@ -43,12 +39,9 @@ class KptEstimationResult:
     kpt_star: float
     iterations_run: int
     num_rr_sets: int
-    #: RR sets generated in the *last* iteration — Algorithm 3's R′.  A list
-    #: of :class:`RRSet` under ``engine="python"``; a
-    #: :class:`FlatRRCollection` under ``engine="vectorized"`` (both support
-    #: ``len`` and iteration, and :func:`repro.core.refine_kpt.refine_kpt`
-    #: accepts either).
-    last_iteration_sets: "list[RRSet] | FlatRRCollection" = field(
+    #: RR sets generated in the *last* iteration — Algorithm 3's R′.  Empty
+    #: when nothing was sampled (the edgeless-graph shortcut).
+    last_iteration_sets: "FlatRRCollection | list[object]" = field(
         repr=False, default_factory=list
     )
     #: Σ generation cost over every RR set sampled (for complexity accounting).
@@ -66,8 +59,6 @@ def estimate_kpt(
     sampler: RRSampler,
     ell: float = 1.0,
     rng=None,
-    engine=DEPRECATED,
-    jobs=DEPRECATED,
     *,
     policy: ExecutionPolicy | None = None,
 ) -> KptEstimationResult:
@@ -75,57 +66,34 @@ def estimate_kpt(
 
     Parameters mirror the paper: the graph, seed-set size ``k``, the failure
     exponent ``ℓ``, plus the model-specific RR ``sampler``, an ``rng``, and a
-    ``policy`` carrying the execution knobs: ``policy.engine``
-    (``"vectorized"`` or ``"python"``) and ``policy.jobs``, which shards each
+    ``policy`` carrying the execution knobs: ``policy.jobs`` shards each
     iteration's batch across worker processes (``0`` = all cores) via
     :class:`~repro.parallel.ParallelSampler`; results are byte-identical for
     every worker count.  ``None`` (default) keeps the single-stream path.
-
-    ``engine=`` / ``jobs=`` remain accepted as deprecated aliases and warn.
     """
-    resolved, _ = resolve_call_policy(
-        "estimate_kpt()", policy, engine=engine, jobs=jobs
-    )
-    run_engine = resolved.engine
-    run_jobs = resolved.jobs
     n = graph.n
     require(n >= 2, "KPT estimation needs at least two nodes")
     check_k(k, n)
     check_ell(ell)
-    require(
-        run_engine in ("vectorized", "python"),
-        f"engine must be 'vectorized' or 'python'; got {run_engine!r}",
-    )
-    m = graph.m
-    if m == 0:
+    if graph.m == 0:
         # Edgeless graph: every RR set is a singleton with width 0, so the
         # loop could never clear its threshold; the paper's fallback applies.
         return KptEstimationResult(kpt_star=1.0, iterations_run=0, num_rr_sets=0)
 
     source = resolve_rng(rng)
-    sampler, owned_pool = maybe_parallel(sampler, jobs_for_engine(run_engine, run_jobs))
+    sampler, owned_pool = maybe_parallel(sampler, ExecutionPolicy.coerce(policy).jobs)
     try:
         with obs.trace("kpt.estimate", k=int(k)):
             max_iterations = kpt_max_iterations(n)
             total_sets = 0
             total_cost = 0
-            last_sets: list[RRSet] | FlatRRCollection = []
+            last_sets: FlatRRCollection | list[object] = []
             for iteration in range(1, max_iterations + 1):
                 count = kpt_samples_per_iteration(n, ell, iteration)
-                if run_engine == "vectorized":
-                    batch = sampler.sample_random_batch(count, source)
-                    total_cost += int(batch.costs_array.sum())
-                    kappa_sum = batch.kappa_sum(k)
-                    last_sets = batch
-                else:
-                    kappa_sum = 0.0
-                    current_sets: list[RRSet] = []
-                    for _ in range(count):
-                        rr = sampler.sample(source)
-                        current_sets.append(rr)
-                        total_cost += rr.cost
-                        kappa_sum += 1.0 - (1.0 - rr.width / m) ** k
-                    last_sets = current_sets
+                batch = sampler.sample_random_batch(count, source)
+                total_cost += int(batch.costs_array.sum())
+                kappa_sum = batch.kappa_sum(k)
+                last_sets = batch
                 total_sets += count
                 obs.add("kpt.rr_sets", count)
                 if kappa_sum / count > 1.0 / (2.0**iteration):

@@ -5,32 +5,21 @@ solves maximum coverage over them.  Independence (given θ) is exactly what
 distinguishes TIM from Borgs et al.'s threshold-coupled RIS and is the
 source of the clean Chernoff analysis (Lemma 3 / Theorem 1).
 
-The ``engine`` parameter selects the sampling/storage substrate:
-
-* ``"vectorized"`` (default) — RR sets are generated by the sampler's
-  numpy-batched path straight into a
-  :class:`~repro.rrset.flat_collection.FlatRRCollection` (packed
-  ``ptr``/``nodes`` arrays) and the coverage solver runs on those arrays
-  directly; no per-set Python objects exist anywhere on the hot path.
-* ``"python"`` — the original scalar loop into an
-  :class:`~repro.rrset.collection.RRCollection` of tuples, kept for the
-  ablation bench and as an independent cross-check.
+RR sets are generated by the sampler's numpy-batched path straight into a
+:class:`~repro.rrset.flat_collection.FlatRRCollection` (packed
+``ptr``/``nodes`` arrays) and the coverage solver runs on those arrays
+directly; no per-set Python objects exist anywhere on the hot path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.api.policy import DEPRECATED, ExecutionPolicy, resolve_call_policy
+from repro.api.policy import ExecutionPolicy
 from repro.obs import runtime as obs
-from repro.parallel import jobs_for_engine, maybe_parallel
+from repro.parallel import maybe_parallel
 from repro.rrset.base import RRSampler
-from repro.rrset.collection import RRCollection
-from repro.rrset.coverage import (
-    greedy_max_coverage,
-    greedy_max_coverage_python,
-    lazy_greedy_max_coverage,
-)
+from repro.rrset.coverage import greedy_max_coverage, lazy_greedy_max_coverage
 from repro.rrset.flat_collection import FlatRRCollection
 from repro.utils.rng import resolve_rng
 from repro.utils.validation import check_k, check_positive_int, require
@@ -46,7 +35,7 @@ class NodeSelectionResult:
     coverage_fraction: float
     estimated_spread: float
     num_rr_sets: int
-    collection: "RRCollection | FlatRRCollection" = field(repr=False, default=None)
+    collection: FlatRRCollection = field(repr=False, default=None)
 
     def __post_init__(self):
         if self.collection is None:  # pragma: no cover - defensive
@@ -60,10 +49,7 @@ def node_selection(
     sampler: RRSampler,
     rng=None,
     coverage: str = "exact",
-    collection=None,
-    engine=DEPRECATED,
     index=None,
-    jobs=DEPRECATED,
     *,
     policy: ExecutionPolicy | None = None,
 ) -> NodeSelectionResult:
@@ -74,61 +60,34 @@ def node_selection(
     coverage:
         ``"exact"`` (the paper's linear-time greedy) or ``"lazy"`` (the
         CELF-style heap variant; same guarantee, benched in the ablation).
-    collection:
-        Optional pre-filled :class:`RRCollection` or
-        :class:`FlatRRCollection` to extend — used by RIS, which streams RR
-        sets until a cost budget instead of a count.  When given, only
-        ``theta - len(collection)`` new sets are sampled.
-    policy:
-        :class:`~repro.api.policy.ExecutionPolicy` carrying the execution
-        knobs.  ``policy.engine`` is ``"vectorized"`` (numpy-batched sampling
-        into flat storage, default) or ``"python"`` (the original scalar loop
-        over tuple storage); ``policy.jobs`` is documented below.  The bare
-        ``engine=`` / ``jobs=`` keywords remain accepted as deprecated
-        aliases and warn.
     index:
         Optional :class:`~repro.sketch.index.SketchIndex` to run *through*
         (build-or-reuse): its sketch is the collection — already-held RR
         sets are reused, only the shortfall to θ is sampled (appended via
         ``extend_flat``, warm-start style) — and selection runs on the
         index's prebuilt inverted index.  Seeds are identical to the
-        ``coverage="exact"`` solver (same tie-breaking).  Mutually exclusive
-        with ``collection``.
-    jobs:
-        Shard the θ sampling across worker processes (``0`` = all cores)
-        via :class:`~repro.parallel.ParallelSampler`; the sampled
-        collection is byte-identical for every worker count.  ``None``
-        (default) keeps the legacy single stream.
+        ``coverage="exact"`` solver (same tie-breaking).
+    policy:
+        :class:`~repro.api.policy.ExecutionPolicy` carrying the execution
+        knobs.  ``policy.jobs`` shards the θ sampling across worker
+        processes (``0`` = all cores) via
+        :class:`~repro.parallel.ParallelSampler`; the sampled collection is
+        byte-identical for every worker count.  ``None`` (default) keeps the
+        single stream.
     """
-    resolved, index = resolve_call_policy(
-        "node_selection()", policy, engine=engine, jobs=jobs, index=index
-    )
-    run_engine = resolved.engine
-    run_jobs = resolved.jobs
     check_k(k, graph.n)
     check_positive_int(theta, "theta")
     require(coverage in ("exact", "lazy"), f"coverage must be 'exact' or 'lazy'; got {coverage!r}")
-    require(
-        run_engine in ("vectorized", "python"),
-        f"engine must be 'vectorized' or 'python'; got {run_engine!r}",
-    )
-    require(collection is None or index is None, "pass collection or index, not both")
     source = resolve_rng(rng)
-    if index is None:
-        # With an index, sampling always takes the flat batch path, so jobs
-        # stays useful even under engine="python".
-        run_jobs = jobs_for_engine(run_engine, run_jobs)
-    sampler, owned_pool = maybe_parallel(sampler, run_jobs)
+    sampler, owned_pool = maybe_parallel(sampler, ExecutionPolicy.coerce(policy).jobs)
     try:
-        return _node_selection(
-            graph, k, theta, sampler, source, coverage, collection, run_engine, index
-        )
+        return _node_selection(graph, k, theta, sampler, source, coverage, index)
     finally:
         if owned_pool:
             sampler.close()
 
 
-def _node_selection(graph, k, theta, sampler, source, coverage, collection, engine, index):
+def _node_selection(graph, k, theta, sampler, source, coverage, index):
     if index is not None:
         missing = theta - len(index.collection)
         if missing > 0:
@@ -142,39 +101,12 @@ def _node_selection(graph, k, theta, sampler, source, coverage, collection, engi
             num_rr_sets=len(index.collection),
             collection=index.collection,
         )
-    if collection is None:
-        if engine == "vectorized":
-            collection = FlatRRCollection(graph.n, graph.m)
-        else:
-            collection = RRCollection(graph.n, graph.m)
-    missing = theta - len(collection)
-    if missing > 0:
-        with obs.trace("sampling.node_selection", missing=int(missing)):
-            if engine == "vectorized":
-                batch = sampler.sample_random_batch(missing, source)
-                if isinstance(collection, FlatRRCollection):
-                    collection.extend_flat(batch)
-                else:
-                    collection.extend(batch.to_rrsets())
-            else:
-                randrange = source.py.randrange
-                n = graph.n
-                for _ in range(missing):
-                    collection.append(sampler.sample_rooted(randrange(n), source))
-
-    if isinstance(collection, FlatRRCollection):
-        solver_input = collection
-        solve = greedy_max_coverage if coverage == "exact" else lazy_greedy_max_coverage
-    else:
-        solver_input = collection.sets
-        if coverage == "exact":
-            # The python engine keeps the historical pure-Python greedy so the
-            # ablation bench measures an end-to-end scalar baseline.
-            solve = greedy_max_coverage_python if engine == "python" else greedy_max_coverage
-        else:
-            solve = lazy_greedy_max_coverage
+    collection = FlatRRCollection(graph.n, graph.m)
+    with obs.trace("sampling.node_selection", missing=int(theta)):
+        collection.extend_flat(sampler.sample_random_batch(theta, source))
+    solve = greedy_max_coverage if coverage == "exact" else lazy_greedy_max_coverage
     with obs.trace("selection.greedy", k=int(k), theta=int(theta)):
-        result = solve(solver_input, graph.n, k)
+        result = solve(collection, graph.n, k)
     fraction = result.fraction
     return NodeSelectionResult(
         seeds=result.seeds,

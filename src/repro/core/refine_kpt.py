@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.api.policy import DEPRECATED, ExecutionPolicy, resolve_call_policy
+from repro.api.policy import ExecutionPolicy
 from repro.core.parameters import lambda_prime, theta_from_kpt
 from repro.obs import runtime as obs
-from repro.parallel import jobs_for_engine, maybe_parallel
+from repro.parallel import maybe_parallel
 from repro.rrset.base import RRSampler
 from repro.rrset.coverage import greedy_max_coverage
 from repro.utils.rng import resolve_rng
@@ -52,28 +52,18 @@ def refine_kpt(
     epsilon_prime: float,
     ell: float = 1.0,
     rng=None,
-    engine=DEPRECATED,
-    jobs=DEPRECATED,
     *,
     policy: ExecutionPolicy | None = None,
 ) -> RefineKptResult:
     """Run Algorithm 3 and return KPT⁺ = max(KPT′, KPT*).
 
-    ``last_iteration_sets`` is Algorithm 2's final batch — either a list of
-    :class:`RRSet` or a :class:`~repro.rrset.flat_collection
-    .FlatRRCollection` (whichever engine :func:`~repro.core.kpt_estimation
-    .estimate_kpt` ran with).  ``policy.engine`` selects how the θ′ fresh RR
-    sets are generated and covered: numpy-batched (``"vectorized"``, default)
-    or the original scalar loop (``"python"``).  ``policy.jobs`` shards the θ′
-    batch across worker processes (``0`` = all cores) with
-    worker-count-invariant results; ``None`` keeps the single stream.
-
-    ``engine=`` / ``jobs=`` remain accepted as deprecated aliases and warn.
+    ``last_iteration_sets`` is Algorithm 2's final batch (the
+    :class:`~repro.rrset.flat_collection.FlatRRCollection` that
+    :func:`~repro.core.kpt_estimation.estimate_kpt` returns; any sequence of
+    RR node sets works).  The θ′ fresh RR sets are sampled in numpy batches;
+    ``policy.jobs`` shards them across worker processes (``0`` = all cores)
+    with worker-count-invariant results; ``None`` keeps the single stream.
     """
-    resolved, _ = resolve_call_policy(
-        "refine_kpt()", policy, engine=engine, jobs=jobs
-    )
-    run_engine = resolved.engine
     n = graph.n
     require(n >= 2, "refine_kpt needs at least two nodes")
     check_k(k, n)
@@ -81,48 +71,28 @@ def refine_kpt(
     require(kpt_star >= 1.0, "KPT* must be >= 1 (a seed activates itself)")
     require(epsilon_prime > 0.0, "epsilon_prime must be positive")
     require(len(last_iteration_sets) > 0, "need Algorithm 2's last-iteration RR sets")
-    require(
-        run_engine in ("vectorized", "python"),
-        f"engine must be 'vectorized' or 'python'; got {run_engine!r}",
-    )
 
     source = resolve_rng(rng)
-    run_jobs = jobs_for_engine(run_engine, resolved.jobs)
     with obs.trace("kpt.refine", k=int(k)):
         # Lines 2-6: greedy max coverage over R' to get the interim seed set.
-        # greedy_max_coverage consumes a flat collection directly; lists of
-        # RRSet objects are converted to their node tuples first.
-        if hasattr(last_iteration_sets, "ptr_array"):
-            interim = greedy_max_coverage(last_iteration_sets, n, k)
-        else:
-            interim = greedy_max_coverage([rr.nodes for rr in last_iteration_sets], n, k)
+        interim = greedy_max_coverage(last_iteration_sets, n, k)
 
         # Lines 7-9: θ' fresh RR sets.
         theta_prime = theta_from_kpt(lambda_prime(epsilon_prime, ell, n), kpt_star)
         seed_set = set(interim.seeds)
         covered = 0
         total_cost = 0
-        if run_engine == "vectorized":
-            sampler, owned_pool = maybe_parallel(sampler, run_jobs)
-            try:
-                remaining = theta_prime
-                while remaining > 0:
-                    batch = sampler.sample_random_batch(min(_BATCH_SIZE, remaining), source)
-                    total_cost += int(batch.costs_array.sum())
-                    covered += batch.coverage_count(seed_set)
-                    remaining -= len(batch)
-            finally:
-                if owned_pool:
-                    sampler.close()
-        else:
-            randrange = source.py.randrange
-            for _ in range(theta_prime):
-                rr = sampler.sample_rooted(randrange(n), source)
-                total_cost += rr.cost
-                for node in rr.nodes:
-                    if node in seed_set:
-                        covered += 1
-                        break
+        sampler, owned_pool = maybe_parallel(sampler, ExecutionPolicy.coerce(policy).jobs)
+        try:
+            remaining = theta_prime
+            while remaining > 0:
+                batch = sampler.sample_random_batch(min(_BATCH_SIZE, remaining), source)
+                total_cost += int(batch.costs_array.sum())
+                covered += batch.coverage_count(seed_set)
+                remaining -= len(batch)
+        finally:
+            if owned_pool:
+                sampler.close()
         obs.add("kpt.refine_rr_sets", theta_prime)
 
     # Lines 10-12: deflate the unbiased estimate so KPT' <= OPT w.h.p.

@@ -15,7 +15,7 @@ triggering model, in ``O((k + ℓ)(m + n) log n / ε²)`` expected time.
 
 from __future__ import annotations
 
-from repro.api.policy import DEPRECATED, ExecutionPolicy, resolve_call_policy
+from repro.api.policy import ExecutionPolicy
 from repro.core.kpt_estimation import estimate_kpt
 from repro.core.node_selection import node_selection
 from repro.core.parameters import (
@@ -30,7 +30,7 @@ from repro.core.refine_kpt import refine_kpt
 from repro.core.results import TIMResult
 from repro.diffusion.base import resolve_model
 from repro.obs import runtime as obs
-from repro.parallel import jobs_for_engine, maybe_parallel
+from repro.parallel import maybe_parallel
 from repro.graphs.digraph import DiGraph
 from repro.rrset.base import make_rr_sampler
 from repro.utils.rng import resolve_rng
@@ -51,9 +51,6 @@ def tim(
     epsilon_prime: float | None = None,
     coverage: str = "exact",
     max_theta: int | None = None,
-    engine=DEPRECATED,
-    sketch_index=DEPRECATED,
-    jobs=DEPRECATED,
     *,
     policy: ExecutionPolicy | None = None,
     index=None,
@@ -89,9 +86,8 @@ def tim(
         ``extras["theta_capped"]``).
     policy:
         The :class:`~repro.api.policy.ExecutionPolicy` governing execution
-        (engine, worker pool, accuracy defaults).  Two policies differing
-        only in ``engine``/``jobs`` return byte-identical seed sets for
-        equal seeds.
+        (worker pool, accuracy defaults).  Two policies differing only in
+        ``jobs`` return byte-identical seed sets for equal seeds.
     index:
         Optional :class:`~repro.sketch.index.SketchIndex` to run the call
         *through* (build-or-reuse).  Node selection draws on the index's
@@ -104,10 +100,6 @@ def tim(
         first call populates the index; later calls amortize it.  Prefer
         :class:`~repro.api.session.InfluenceSession` for whole-workload
         sketch ownership.
-    engine, sketch_index, jobs:
-        **Deprecated** legacy keywords; still honoured (with a
-        :class:`DeprecationWarning` and identical results) but superseded
-        by ``policy=`` / ``index=``.
 
     Returns
     -------
@@ -115,13 +107,9 @@ def tim(
         Seeds plus every diagnostic the paper plots: KPT*, KPT⁺, θ,
         per-phase RR-set counts, per-phase wall-clock, RR-collection bytes.
     """
-    resolved_policy, index = resolve_call_policy(
-        "tim()", policy, engine=engine, jobs=jobs, sketch_index=sketch_index,
-        index=index,
-    )
+    resolved_policy = ExecutionPolicy.coerce(policy)
     epsilon = resolved_policy.epsilon if epsilon is None else epsilon
     ell = resolved_policy.ell if ell is None else ell
-    engine = resolved_policy.engine
     require(graph.n >= 2, "influence maximization needs at least two nodes")
     check_k(k, graph.n)
     check_epsilon(epsilon)
@@ -129,12 +117,13 @@ def tim(
     resolved_model = resolve_model(model)
     resolved_model.validate_graph(graph)
     source = resolve_rng(rng)
-    jobs = jobs_for_engine(engine, resolved_policy.jobs, stacklevel=2)
-    sampler, owned_pool = maybe_parallel(make_rr_sampler(graph, resolved_model), jobs)
+    sampler, owned_pool = maybe_parallel(
+        make_rr_sampler(graph, resolved_model), resolved_policy.jobs
+    )
     try:
         return _tim_run(
             graph, k, epsilon, ell, resolved_model, source, sampler, refine,
-            epsilon_prime, coverage, max_theta, engine, index,
+            epsilon_prime, coverage, max_theta, index,
         )
     finally:
         if owned_pool:
@@ -143,7 +132,7 @@ def tim(
 
 def _tim_run(
     graph, k, epsilon, ell, resolved_model, source, sampler, refine,
-    epsilon_prime, coverage, max_theta, engine, sketch_index,
+    epsilon_prime, coverage, max_theta, sketch_index,
 ):
     # Success-probability bookkeeping (Sections 3.3 / 4.1): the internal
     # ell absorbs the union bound over 2 (TIM) or 3 (TIM+) failure events.
@@ -156,10 +145,8 @@ def _tim_run(
     obs.add("tim.runs")
     rr_counts: dict[str, int] = {}
     # The sampler is already pool-wrapped at the tim() level when jobs ask
-    # for it, so the sub-algorithms get the engine only — never a jobs value
-    # that would double-wrap.
-    inner_policy = ExecutionPolicy(engine=engine)
-
+    # for it, so the sub-algorithms below take no policy — a jobs value
+    # there would double-wrap.
     cached_kpt = sketch_index.cached_kpt(k, refine) if sketch_index is not None else None
     interim_seeds: list[int] = []
     kpt_iterations = 0
@@ -174,16 +161,19 @@ def _tim_run(
             rr_counts["refinement"] = 0
     else:
         with timer.phase("parameter_estimation"):
-            kpt_result = estimate_kpt(
-                graph, k, sampler, ell=ell_adjusted, rng=source, policy=inner_policy
-            )
+            kpt_result = estimate_kpt(graph, k, sampler, ell=ell_adjusted, rng=source)
         rr_counts["parameter_estimation"] = kpt_result.num_rr_sets
         kpt_iterations = kpt_result.iterations_run
 
         kpt_star = kpt_result.kpt_star
         kpt = kpt_result.kpt_star
         kpt_plus = kpt_result.kpt_star
-        if refine:
+        if refine and kpt_result.num_rr_sets == 0:
+            # Algorithm 2 sampled nothing (edgeless graph: KPT* = 1 by its
+            # shortcut), so Algorithm 3 has no R' to refine; KPT⁺ = KPT* = 1
+            # is still a valid lower bound on OPT.
+            rr_counts["refinement"] = 0
+        elif refine:
             if epsilon_prime is None:
                 epsilon_prime = epsilon_prime_default(epsilon, k, ell)
             with timer.phase("refinement"):
@@ -196,7 +186,6 @@ def _tim_run(
                     epsilon_prime=epsilon_prime,
                     ell=ell_adjusted,
                     rng=source,
-                    policy=inner_policy,
                 )
             kpt_plus = refined.kpt_plus
             kpt = refined.kpt_plus
@@ -220,7 +209,7 @@ def _tim_run(
     with timer.phase("node_selection"):
         selection = node_selection(
             graph, k, theta, sampler, rng=source, coverage=coverage,
-            index=sketch_index, policy=inner_policy,
+            index=sketch_index,
         )
     # Freshly sampled sets only; anything the sketch already held is reuse.
     rr_counts["node_selection"] = selection.num_rr_sets - sketch_sets_reused
@@ -238,7 +227,6 @@ def _tim_run(
             "interim_seeds": interim_seeds,
             "theta_capped": theta_capped,
             "kpt_iterations": kpt_iterations,
-            "engine": engine,
             "kpt_cache_hit": cached_kpt is not None,
             "sketch_sets_reused": sketch_sets_reused,
         },
@@ -265,18 +253,11 @@ def tim_plus(
     epsilon_prime: float | None = None,
     coverage: str = "exact",
     max_theta: int | None = None,
-    engine=DEPRECATED,
-    sketch_index=DEPRECATED,
-    jobs=DEPRECATED,
     *,
     policy: ExecutionPolicy | None = None,
     index=None,
 ) -> TIMResult:
     """TIM+ — TIM with the Algorithm 3 refinement step (Section 4.1)."""
-    resolved_policy, index = resolve_call_policy(
-        "tim_plus()", policy, engine=engine, jobs=jobs,
-        sketch_index=sketch_index, index=index,
-    )
     return tim(
         graph,
         k,
@@ -288,6 +269,6 @@ def tim_plus(
         epsilon_prime=epsilon_prime,
         coverage=coverage,
         max_theta=max_theta,
-        policy=resolved_policy,
+        policy=policy,
         index=index,
     )

@@ -38,8 +38,8 @@ from repro.core.results import TIMResult
 from repro.diffusion.base import resolve_model
 from repro.graphs.digraph import DiGraph
 from repro.rrset.base import RRSampler, RRSet, make_rr_sampler
-from repro.rrset.collection import RRCollection
 from repro.rrset.coverage import greedy_max_coverage
+from repro.rrset.flat_collection import FlatRRCollection
 from repro.utils.rng import RandomSource, resolve_rng
 from repro.utils.timer import PhaseTimer
 from repro.utils.validation import check_ell, check_epsilon, check_k, require
@@ -62,17 +62,32 @@ class WeightedRootSampler(RRSampler):
         self.node_weights = weights
         self.total_weight = total
         self._cumulative = np.cumsum(weights)
+        self._last_positive = int(np.flatnonzero(weights)[-1])
         self.model_name = f"weighted-{inner.model_name}"
 
     def sample_rooted(self, root: int, rng: RandomSource) -> RRSet:
         return self.inner.sample_rooted(root, rng)
 
+    def sample_batch(self, roots, rng) -> FlatRRCollection:
+        return self.inner.sample_batch(roots, rng)
+
     def sample(self, rng) -> RRSet:
+        """One weighted-root RR set (a batch of one, same root law)."""
+        return self.sample_random_batch(1, rng).to_rrsets()[0]
+
+    def sample_random_batch(self, count: int, rng) -> FlatRRCollection:
+        """``count`` RR sets whose roots are drawn ∝ node weight.
+
+        The roots come from one vectorised inverse-CDF draw; the inner
+        sampler's batched path then expands them.
+        """
         source = resolve_rng(rng)
-        draw = source.random() * self.total_weight
-        root = int(np.searchsorted(self._cumulative, draw, side="right"))
-        root = min(root, self.graph.n - 1)  # guard the draw == total edge case
-        return self.inner.sample_rooted(root, source)
+        draws = source.np.random(int(count)) * self.total_weight
+        roots = np.searchsorted(self._cumulative, draws, side="right")
+        # A draw that rounds up to the total lands past the end; it belongs
+        # to the last node that carries weight.
+        np.minimum(roots, self._last_positive, out=roots)
+        return self.sample_batch(roots, source)
 
 
 def weighted_lambda(
@@ -137,18 +152,14 @@ def weighted_tim_plus(
     # deflated by (1 + eps'), floored by the top-k weight sum.
     # ------------------------------------------------------------------
     with timer.phase("parameter_estimation"):
-        pilot = [sampler.sample(source) for _ in range(pilot_rr_sets)]
-        interim = greedy_max_coverage([rr.nodes for rr in pilot], graph.n, k)
+        pilot = sampler.sample_random_batch(pilot_rr_sets, source)
+        interim = greedy_max_coverage(pilot, graph.n, k)
     rr_counts["parameter_estimation"] = pilot_rr_sets
 
     with timer.phase("refinement"):
         fresh_count = pilot_rr_sets
-        seed_set = set(interim.seeds)
-        covered = 0
-        for _ in range(fresh_count):
-            rr = sampler.sample(source)
-            if any(v in seed_set for v in rr.nodes):
-                covered += 1
+        fresh = sampler.sample_random_batch(fresh_count, source)
+        covered = fresh.coverage_count(interim.seeds)
         estimate = covered / fresh_count * total_weight / (1.0 + epsilon_prime)
         weights_sorted = np.sort(sampler.node_weights)[::-1]
         weight_floor = float(weights_sorted[:k].sum())
@@ -160,10 +171,8 @@ def weighted_tim_plus(
     theta, theta_capped = apply_theta_cap(theta, max_theta, "weighted_tim_plus()")
 
     with timer.phase("node_selection"):
-        collection = RRCollection(graph.n, graph.m)
-        for _ in range(theta):
-            collection.append(sampler.sample(source))
-        coverage = greedy_max_coverage(collection.sets, graph.n, k)
+        collection = sampler.sample_random_batch(theta, source)
+        coverage = greedy_max_coverage(collection, graph.n, k)
     rr_counts["node_selection"] = theta
 
     return TIMResult(

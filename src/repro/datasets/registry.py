@@ -84,7 +84,7 @@ class Dataset:
 
         Convenience for serving workflows: applies the Section 7.1 weighting
         for ``model`` and forwards ``kwargs`` (``theta`` or ``k``/``epsilon``
-        /``ell``, ``rng``, ``engine``) to :meth:`SketchIndex.build`.
+        /``ell``, ``rng``, ``jobs``) to :meth:`SketchIndex.build`.
         """
         from repro.sketch import SketchIndex
 

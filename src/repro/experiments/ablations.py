@@ -5,7 +5,7 @@ made on top of the paper's algorithms:
 
 * the Binomial fast path in the IC RR sampler (vs literal per-edge coins);
 * the exact linear-time max-coverage greedy (vs a CELF-style lazy heap);
-* the numpy-batched flat RR engine (vs the original per-set Python loops).
+* the numpy-batched RR sampler (vs the scalar one-set-per-call sampler).
 
 Each ablation reports both wall-clock and an output-equivalence check, so a
 speed-up can never silently change semantics.
@@ -18,7 +18,6 @@ from functools import lru_cache
 from repro.datasets.registry import build_dataset
 from repro.experiments.reporting import ExperimentResult
 from repro.obs import runtime as obs
-from repro.rrset.collection import RRCollection
 from repro.rrset.coverage import greedy_max_coverage, lazy_greedy_max_coverage
 from repro.rrset.ic_sampler import ICRRSampler
 from repro.utils.rng import RandomSource
@@ -86,10 +85,7 @@ def ablation_coverage(
     always commit a true argmax).
     """
     graph = _ic_graph(dataset, scale)
-    sampler = ICRRSampler(graph)
-    rng = RandomSource(seed)
-    collection = RRCollection(graph.n, graph.m)
-    collection.extend(sampler.sample_many(num_sets, rng))
+    collection = ICRRSampler(graph).sample_random_batch(num_sets, RandomSource(seed))
 
     result = ExperimentResult(
         name="ablation-coverage",
@@ -100,10 +96,10 @@ def ablation_coverage(
     )
     for k in k_values:
         started = obs.now()
-        exact = greedy_max_coverage(collection.sets, graph.n, k)
+        exact = greedy_max_coverage(collection, graph.n, k)
         exact_elapsed = obs.now() - started
         started = obs.now()
-        lazy = lazy_greedy_max_coverage(collection.sets, graph.n, k)
+        lazy = lazy_greedy_max_coverage(collection, graph.n, k)
         lazy_elapsed = obs.now() - started
         result.add_row(k, exact_elapsed, lazy_elapsed, exact.covered, lazy.covered)
     return result
@@ -115,10 +111,10 @@ def ablation_engine(
     num_sets: int = 20_000,
     seed: int = 53,
 ) -> ExperimentResult:
-    """Python per-set loop vs the numpy-batched flat engine (PR 1 tentpole).
+    """Scalar per-set sampling loop vs the numpy-batched sampler.
 
-    Both engines draw from the same RR-set distribution; the mean-width
-    column pair is the embedded equivalence check.
+    Both draw from the same RR-set distribution; the mean-width column pair
+    is the embedded equivalence check.
     """
     result = ExperimentResult(
         name="ablation-engine",

@@ -14,7 +14,6 @@ RL301    exception-policy      broad excepts re-raise, translate, or use the
                                caught exception
 RL401    policy-kwarg-drift    public entry points take policy=, not bare
                                engine=/jobs=/trace_edges= keywords
-RL402    deprecation-hygiene   DEPRECATED-sentinel shims emit the warning
 RL501    wire-schema-sync      ops.py ↔ golden_requests.jsonl ↔ api_surface.txt
 RL601    timing-discipline     phase timing flows through repro.obs
                                (trace()/now()) — no raw perf_counter outside it

@@ -1,28 +1,17 @@
-"""RL401 / RL402 — ExecutionPolicy discipline.
+"""RL401 — ExecutionPolicy discipline.
 
-PR 5 consolidated every execution knob into
-:class:`~repro.api.policy.ExecutionPolicy` and left exactly one blessed
-shape for backward compatibility: keyword parameters defaulting to the
-:data:`~repro.api.policy.DEPRECATED` sentinel, folded through
-``resolve_call_policy``/``warn_legacy_kwargs`` so explicit use warns once
-and takes the same code path as ``policy=``.
+Every execution knob lives on :class:`~repro.api.policy.ExecutionPolicy`;
+public entry points take ``policy=`` instead of spelling the knobs out.
 
 * **RL401 (policy-kwarg drift)** — a *public module-level function* under
-  ``src/repro`` must not re-grow a bare ``engine=`` / ``jobs=`` /
-  ``trace_edges=`` / ``sketch_index=`` keyword (one with a real default).
-  Either take ``policy=`` or make the legacy keyword a ``DEPRECATED``
-  shim.  Required positional parameters are exempt, as are private helpers
-  and methods (classes own their configuration objects), and the
+  ``src/repro`` must not grow an ``engine=`` / ``jobs=`` / ``trace_edges=``
+  / ``sketch_index=`` keyword (one with a default).  Take ``policy=``
+  instead.  Required positional parameters are exempt, as are private
+  helpers and methods (classes own their configuration objects), and the
   ``repro.parallel`` / ``repro.rrset`` engine layers are out of scope
   entirely: they are the implementation those knobs configure, so their
   factories (``maybe_parallel``, ``make_rr_sampler``) legitimately spell
   the knobs out.
-
-* **RL402 (deprecation hygiene)** — any function carrying a
-  ``DEPRECATED``-defaulted parameter must actually emit the warning:
-  its body must call ``resolve_call_policy`` / ``warn_legacy_kwargs`` (or
-  ``warnings.warn(..., DeprecationWarning, ...)`` directly).  A silent shim
-  is an API that can never be removed.
 """
 
 from __future__ import annotations
@@ -39,17 +28,6 @@ LEGACY_POLICY_KWARGS = frozenset({"engine", "jobs", "trace_edges", "sketch_index
 #: Engine-implementation packages where the knobs *are* the interface.
 _IMPLEMENTATION_LAYERS = ("src/repro/parallel/", "src/repro/rrset/")
 
-#: Helpers whose invocation proves the shim emits a DeprecationWarning.
-_WARNING_HELPERS = frozenset({"resolve_call_policy", "warn_legacy_kwargs"})
-
-
-def _is_deprecated_default(node: ast.expr | None) -> bool:
-    if isinstance(node, ast.Name):
-        return node.id == "DEPRECATED"
-    if isinstance(node, ast.Attribute):
-        return node.attr == "DEPRECATED"
-    return False
-
 
 def _defaulted_params(func: ast.FunctionDef | ast.AsyncFunctionDef
                       ) -> list[tuple[ast.arg, ast.expr | None]]:
@@ -62,34 +40,13 @@ def _defaulted_params(func: ast.FunctionDef | ast.AsyncFunctionDef
     return pairs
 
 
-def _emits_deprecation_warning(func: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
-    for node in ast.walk(func):
-        if not isinstance(node, ast.Call):
-            continue
-        target = node.func
-        name = (target.id if isinstance(target, ast.Name)
-                else target.attr if isinstance(target, ast.Attribute) else None)
-        if name in _WARNING_HELPERS:
-            return True
-        if name == "warn":
-            mentions = list(node.args) + [kw.value for kw in node.keywords]
-            for argument in mentions:
-                for leaf in ast.walk(argument):
-                    if isinstance(leaf, ast.Name) and leaf.id == "DeprecationWarning":
-                        return True
-                    if isinstance(leaf, ast.Attribute) and leaf.attr == "DeprecationWarning":
-                        return True
-    return False
-
-
 @register_rule
 class PolicyKwargDriftRule(FileRule):
     code = "RL401"
     name = "policy-kwarg-drift"
-    description = ("Public module-level entry points must not re-grow bare "
+    description = ("Public module-level entry points must not grow "
                    "engine=/jobs=/trace_edges=/sketch_index= keywords; take "
-                   "policy=ExecutionPolicy(...) (legacy keywords only as "
-                   "DEPRECATED shims).")
+                   "policy=ExecutionPolicy(...).")
 
     def check(self, module: ParsedModule) -> Iterator[Finding]:
         if module.rel_path.startswith(_IMPLEMENTATION_LAYERS):
@@ -102,36 +59,10 @@ class PolicyKwargDriftRule(FileRule):
             for param, default in _defaulted_params(stmt):
                 if default is None:
                     continue  # required positional: plumbing, not a knob
-                if param.arg in LEGACY_POLICY_KWARGS and not _is_deprecated_default(default):
+                if param.arg in LEGACY_POLICY_KWARGS:
                     yield module.finding(
                         param, self.code,
                         f"public entry point {stmt.name}() grows a bare "
                         f"{param.arg}= keyword — execution knobs belong on "
-                        f"policy=ExecutionPolicy(...); keep {param.arg}= only "
-                        f"as a DEPRECATED sentinel shim",
+                        f"policy=ExecutionPolicy(...)",
                     )
-
-
-@register_rule
-class DeprecationHygieneRule(FileRule):
-    code = "RL402"
-    name = "deprecation-hygiene"
-    description = ("Functions with DEPRECATED-sentinel keywords must emit a "
-                   "DeprecationWarning (via resolve_call_policy / "
-                   "warn_legacy_kwargs / warnings.warn).")
-
-    def check(self, module: ParsedModule) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            shimmed = [param.arg for param, default in _defaulted_params(node)
-                       if _is_deprecated_default(default)]
-            if not shimmed or _emits_deprecation_warning(node):
-                continue
-            listed = ", ".join(f"{name}=" for name in sorted(shimmed))
-            yield module.finding(
-                node, self.code,
-                f"{node.name}() keeps DEPRECATED legacy keyword(s) ({listed}) "
-                f"but never emits a DeprecationWarning — fold them through "
-                f"resolve_call_policy() or warn_legacy_kwargs()",
-            )

@@ -1,12 +1,12 @@
 """Multicore sharded RR generation (`repro.parallel`).
 
-The package behind the ``jobs=`` parameter on ``estimate_kpt``,
-``refine_kpt``, ``node_selection``, ``tim``/``tim_plus``, ``ris``,
-``SketchIndex`` and the ``repro-im`` CLI: a persistent worker pool that
-broadcasts the graph's in-CSR arrays once (shared memory, memmap fallback),
-shards every batch with a worker-count-invariant layout, and seeds each
-shard from its own ``SeedSequence.spawn`` child stream — so results are
-byte-identical for any number of workers.  See
+The package behind ``ExecutionPolicy.jobs`` (``estimate_kpt``,
+``refine_kpt``, ``node_selection``, ``tim``/``tim_plus``, ``ris``, ``imm``),
+``SketchIndex``'s ``jobs=`` and the CLI's ``--jobs``: a persistent worker
+pool that broadcasts the graph's in-CSR arrays once (shared memory, memmap
+fallback), shards every batch with a worker-count-invariant layout, and
+seeds each shard from its own ``SeedSequence.spawn`` child stream — so
+results are byte-identical for any number of workers.  See
 :class:`~repro.parallel.engine.ParallelSampler` for the full contract.
 """
 
@@ -14,7 +14,6 @@ from repro.parallel.engine import (
     MAX_SHARDS,
     MIN_SHARD,
     ParallelSampler,
-    jobs_for_engine,
     maybe_parallel,
     resolve_jobs,
     shard_sizes,
@@ -22,7 +21,6 @@ from repro.parallel.engine import (
 
 __all__ = [
     "ParallelSampler",
-    "jobs_for_engine",
     "maybe_parallel",
     "resolve_jobs",
     "shard_sizes",

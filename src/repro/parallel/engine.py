@@ -57,7 +57,6 @@ __all__ = [
     "resolve_jobs",
     "maybe_parallel",
     "shard_sizes",
-    "jobs_for_engine",
 ]
 
 #: Smallest shard worth a round trip to a worker: below this the pickle +
@@ -97,24 +96,6 @@ def shard_sizes(count: int, min_shard: int = MIN_SHARD, max_shards: int = MAX_SH
     num = min(max_shards, max(1, -(-count // min_shard)))
     base, extra = divmod(count, num)
     return [base + 1 if i < extra else base for i in range(num)]
-
-
-def jobs_for_engine(engine: str, jobs: int | None, stacklevel: int = 3) -> int | None:
-    """Drop a ``jobs`` request that the scalar ``python`` engine cannot honour.
-
-    The python engine samples one RR set at a time through
-    ``sample_rooted``, which never reaches the sharded batch path — warn
-    (loud degradation, not silent) and fall back to ``None``.
-    """
-    if jobs is not None and engine == "python":
-        warnings.warn(
-            "engine='python' samples one RR set at a time; jobs is ignored "
-            "(use the vectorized engine for multicore sharding)",
-            RuntimeWarning,
-            stacklevel=stacklevel,
-        )
-        return None
-    return jobs
 
 
 def maybe_parallel(sampler, jobs):

@@ -1,22 +1,16 @@
 """Reverse-reachable set machinery: samplers, storage, max coverage.
 
-Two interchangeable storage layouts back the algorithms:
-
-* :class:`RRCollection` — one Python tuple per RR set (the original,
-  ``engine="python"`` substrate),
-* :class:`FlatRRCollection` — the whole collection packed into CSR-style
-  ``ptr``/``nodes`` numpy arrays (the ``engine="vectorized"`` substrate;
-  see :mod:`repro.rrset.flat_collection` for the layout).
+Sampled RR sets live in one storage layer, :class:`FlatRRCollection`: the
+whole collection packed into CSR-style ``ptr``/``nodes`` numpy arrays (see
+:mod:`repro.rrset.flat_collection` for the layout).
 """
 
 from repro.rrset.base import RRSampler, RRSet, make_rr_sampler
-from repro.rrset.collection import RRCollection
 from repro.rrset.coverage import (
     CoverageResult,
     brute_force_max_coverage,
     coverage_of,
     greedy_max_coverage,
-    greedy_max_coverage_python,
     lazy_greedy_max_coverage,
 )
 from repro.rrset.flat_collection import FlatRRCollection
@@ -28,13 +22,11 @@ __all__ = [
     "RRSampler",
     "RRSet",
     "make_rr_sampler",
-    "RRCollection",
     "FlatRRCollection",
     "CoverageResult",
     "brute_force_max_coverage",
     "coverage_of",
     "greedy_max_coverage",
-    "greedy_max_coverage_python",
     "lazy_greedy_max_coverage",
     "ICRRSampler",
     "LTRRSampler",

@@ -91,11 +91,13 @@ class RRSampler(ABC):
         return self.sample_rooted(root, source)
 
     def sample_many(self, count: int, rng) -> list[RRSet]:
-        """Generate ``count`` independent random RR sets."""
+        """Generate ``count`` independent random RR sets via :meth:`sample`.
+
+        Going through :meth:`sample` keeps a subclass's root law (e.g.
+        weighted roots) instead of re-drawing uniform roots here.
+        """
         source = resolve_rng(rng)
-        randrange = source.py.randrange
-        n = self.graph.n
-        return [self.sample_rooted(randrange(n), source) for _ in range(count)]
+        return [self.sample(source) for _ in range(count)]
 
     def sample_batch(self, roots, rng):
         """Generate one RR set per root, returned as a flat collection.
@@ -104,9 +106,9 @@ class RRSampler(ABC):
         vectorised samplers override it with numpy-batched expansion.  Either
         way the result is a :class:`~repro.rrset.flat_collection
         .FlatRRCollection` holding the sets in root order, which is what the
-        ``engine="vectorized"`` code paths consume.
+        algorithms consume.
 
-        Falling back here is an engine degradation, not a correctness
+        Falling back here is a speed degradation, not a correctness
         problem, so it is announced exactly once per sampler class instead
         of silently running orders of magnitude slower.
         """

@@ -13,11 +13,8 @@ is an ``argmax`` plus a vectorised count-decrement instead of the former
 * :func:`lazy_greedy_max_coverage` — CELF-style lazy heap over the same
   counts; identical seeds (including on ties — both orders resolve a tied
   maximum toward the smaller node id), different constant factors.
-* :func:`greedy_max_coverage_python` — the original pure-Python exact
-  greedy, kept as the ``engine="python"`` ablation baseline and test oracle.
 
-All solvers accept either a sequence of node tuples (the classic
-:class:`~repro.rrset.collection.RRCollection` storage) or a
+All solvers accept either a sequence of node tuples or a
 :class:`~repro.rrset.flat_collection.FlatRRCollection`; tuple input is
 flattened once up front.
 
@@ -39,7 +36,6 @@ __all__ = [
     "CoverageResult",
     "greedy_max_coverage",
     "lazy_greedy_max_coverage",
-    "greedy_max_coverage_python",
     "brute_force_max_coverage",
     "coverage_of",
 ]
@@ -128,8 +124,7 @@ def greedy_max_coverage(rr_sets, num_nodes: int, k: int) -> CoverageResult:
 
     ``rr_sets`` may be a sequence of node tuples or a
     :class:`~repro.rrset.flat_collection.FlatRRCollection`.  ``np.argmax``
-    resolves ties toward the smaller node id, matching the historical
-    pure-Python scan exactly.
+    resolves ties toward the smaller node id.
     """
     require(k >= 1, "k must be >= 1")
     require(num_nodes >= k, "k cannot exceed the number of nodes")
@@ -205,49 +200,6 @@ def lazy_greedy_max_coverage(rr_sets, num_nodes: int, k: int) -> CoverageResult:
         seeds.extend(int(v) for v in fill)
         gains.extend(0 for _ in range(len(fill)))
     return CoverageResult(seeds, total_covered, num_sets, tuple(gains))
-
-
-def greedy_max_coverage_python(
-    rr_sets: Sequence[tuple[int, ...]], num_nodes: int, k: int
-) -> CoverageResult:
-    """The original pure-Python exact greedy (``engine="python"`` baseline).
-
-    Semantically identical to :func:`greedy_max_coverage`; kept so the
-    ablation bench can price the numpy rewrite and tests can cross-check the
-    vectorised solver against an independent implementation.
-    """
-    require(k >= 1, "k must be >= 1")
-    require(num_nodes >= k, "k cannot exceed the number of nodes")
-    counts = [0] * num_nodes
-    node_to_sets: list[list[int]] = [[] for _ in range(num_nodes)]
-    for set_index, rr in enumerate(rr_sets):
-        for node in rr:
-            counts[node] += 1
-            node_to_sets[node].append(set_index)
-
-    covered = [False] * len(rr_sets)
-    seeds: list[int] = []
-    chosen: set[int] = set()
-    total_covered = 0
-    gains: list[int] = []
-    for _ in range(k):
-        best_node = -1
-        best_count = -1
-        for node in range(num_nodes):
-            if node not in chosen and counts[node] > best_count:
-                best_node = node
-                best_count = counts[node]
-        seeds.append(best_node)
-        chosen.add(best_node)
-        gains.append(best_count)
-        total_covered += best_count
-        for set_index in node_to_sets[best_node]:
-            if covered[set_index]:
-                continue
-            covered[set_index] = True
-            for member in rr_sets[set_index]:
-                counts[member] -= 1
-    return CoverageResult(seeds, total_covered, len(rr_sets), tuple(gains))
 
 
 def brute_force_max_coverage(

@@ -1,8 +1,8 @@
 """Flat (CSR-native) storage for sampled RR sets.
 
-:class:`FlatRRCollection` is the numpy counterpart of
-:class:`repro.rrset.collection.RRCollection`: instead of one Python tuple per
-RR set, the whole collection lives in two packed integer arrays,
+:class:`FlatRRCollection` is the library's one RR storage layer: instead of
+one Python tuple per RR set, the whole collection lives in two packed
+integer arrays,
 
 * ``ptr``   — ``int64`` of length ``num_sets + 1``; set ``i`` occupies
   ``nodes[ptr[i]:ptr[i + 1]]`` (exactly the CSR layout the graph uses for
@@ -55,11 +55,10 @@ def _grow(array: np.ndarray, needed: int) -> np.ndarray:
 class FlatRRCollection:
     """An append-only bag of RR sets stored as packed numpy arrays.
 
-    Mirrors the :class:`~repro.rrset.collection.RRCollection` API (``len``,
-    ``sets``, ``widths``, ``roots``, ``total_cost``, coverage estimators) so
-    the two are drop-in interchangeable; the flat layout additionally exposes
-    the raw ``ptr``/``nodes`` arrays that the vectorised samplers and the
-    numpy max-coverage solver operate on directly.
+    Besides the sequence-style API (``len``, ``sets``, ``widths``,
+    ``roots``, ``total_cost``, coverage estimators) it exposes the raw
+    ``ptr``/``nodes`` arrays that the vectorised samplers and the numpy
+    max-coverage solver operate on directly.
     """
 
     __slots__ = (
@@ -186,7 +185,7 @@ class FlatRRCollection:
         return collection
 
     def append(self, rr: RRSet) -> None:
-        """Add one sampled RR set (compatibility with :class:`RRCollection`)."""
+        """Add one sampled :class:`RRSet` (the scalar samplers' output)."""
         trace = None
         if self._track_traces:
             require(rr.trace is not None,
@@ -401,7 +400,7 @@ class FlatRRCollection:
         return self._trace_edges[self._trace_ptr[index] : self._trace_ptr[index + 1]]
 
     # ------------------------------------------------------------------
-    # RRCollection-compatible accessors
+    # Sequence-style accessors
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return self._num_sets
@@ -425,7 +424,7 @@ class FlatRRCollection:
 
     @property
     def costs(self) -> Sequence[int]:
-        """Per-set generation costs (parity with :class:`RRCollection`)."""
+        """Per-set generation costs."""
         return self.costs_array.tolist()
 
     @property
@@ -433,7 +432,7 @@ class FlatRRCollection:
         """Σ per-set generation cost (nodes + edges examined) — RIS's τ meter.
 
         Maintained incrementally: RIS polls this once per batch, so an O(1)
-        counter (like :class:`RRCollection`'s) beats re-summing the array.
+        counter beats re-summing the array.
         """
         return self._total_cost
 

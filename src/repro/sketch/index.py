@@ -38,7 +38,7 @@ from repro.faults import injection as faults
 from repro.obs import runtime as obs
 from repro.core.parameters import adjusted_ell_tim, lambda_param, theta_from_kpt
 from repro.diffusion.base import resolve_model
-from repro.parallel import ParallelSampler, jobs_for_engine, maybe_parallel
+from repro.parallel import ParallelSampler, maybe_parallel
 from repro.rrset.base import make_rr_sampler
 from repro.rrset.coverage import (
     CoverageResult,
@@ -132,7 +132,7 @@ class SketchIndex:
     def build(cls, graph: Any, model: Any = "IC", *,
               theta: int | None = None, k: int | None = None,
               epsilon: float | None = None, ell: float | None = None,
-              rng: Any = None, engine: str | None = None,
+              rng: Any = None,
               jobs: int | None = None, trace_edges: bool | None = None,
               policy: Any = None,
               algorithm: str | None = None) -> "SketchIndex":
@@ -146,8 +146,7 @@ class SketchIndex:
           would have sampled;
         * ``"imm"`` — IMM's martingale lower-bound search
           (:func:`repro.core.imm.imm_ensure`), which typically lands on a
-          substantially smaller θ for the same ε and always samples through
-          the batched path regardless of ``engine``.
+          substantially smaller θ for the same ε.
 
         ``algorithm=None`` resolves from ``policy.algorithm`` (``"imm"``
         selects the IMM derivation; every other value falls back to the TIM
@@ -164,18 +163,15 @@ class SketchIndex:
         sampled sets nor the RNG stream — only the extra arrays stored.
 
         ``policy`` (an :class:`~repro.api.policy.ExecutionPolicy`) supplies
-        defaults for ``engine``/``jobs``/``trace_edges``/``epsilon``/``ell``;
+        defaults for ``jobs``/``trace_edges``/``epsilon``/``ell``;
         explicit keyword arguments override it, so existing call shapes are
         unchanged.
         """
         resolved_policy = ExecutionPolicy.coerce(policy)
-        engine = resolved_policy.engine if engine is None else engine
         jobs = resolved_policy.jobs if jobs is None else jobs
         trace_edges = resolved_policy.trace_edges if trace_edges is None else trace_edges
         epsilon = resolved_policy.epsilon if epsilon is None else epsilon
         ell = resolved_policy.ell if ell is None else ell
-        require(engine in ("vectorized", "python"),
-                f"engine must be 'vectorized' or 'python'; got {engine!r}")
         if algorithm is None:
             algorithm = "imm" if resolved_policy.algorithm == "imm" else "tim"
         require(algorithm in ("tim", "imm"),
@@ -184,13 +180,14 @@ class SketchIndex:
         resolved = resolve_model(model)
         resolved.validate_graph(graph)
         source = resolve_rng(rng)
-        jobs = jobs_for_engine(engine, jobs)
         with obs.trace("sketch.build", model=resolved.name, algorithm=algorithm):
             faults.checkpoint("sketch.build")
             sampler, _ = maybe_parallel(
                 make_rr_sampler(graph, resolved, trace_edges=trace_edges), jobs
             )
-            meta: dict[str, Any] = {"rng_seed": source.seed, "engine": engine}
+            # "engine" stays in the metadata so saved sketch files keep
+            # their bytes and older readers keep loading them.
+            meta: dict[str, Any] = {"rng_seed": source.seed, "engine": "vectorized"}
             if theta is None and algorithm == "imm":
                 # IMM derivation: no KPT estimation phase — the lower-bound
                 # search grows the (initially empty) index directly and the
@@ -216,8 +213,7 @@ class SketchIndex:
                         "build needs theta, or k to derive theta from epsilon")
                 check_k(k, graph.n)
                 ell_adjusted = adjusted_ell_tim(ell, graph.n)
-                kpt_result = estimate_kpt(graph, k, sampler, ell=ell_adjusted,
-                                          rng=source, policy=ExecutionPolicy(engine=engine))
+                kpt_result = estimate_kpt(graph, k, sampler, ell=ell_adjusted, rng=source)
                 theta = theta_from_kpt(
                     lambda_param(graph.n, k, epsilon, ell_adjusted), kpt_result.kpt_star
                 )
@@ -225,13 +221,7 @@ class SketchIndex:
                             kpt_star=kpt_result.kpt_star, algorithm="tim")
             theta = int(theta)
             require(theta >= 1, "theta must be >= 1")
-            if engine == "vectorized":
-                collection = sampler.sample_random_batch(theta, source)
-            else:
-                collection = FlatRRCollection(graph.n, graph.m, track_traces=trace_edges)
-                randrange = source.py.randrange
-                for _ in range(theta):
-                    collection.append(sampler.sample_rooted(randrange(graph.n), source))
+            collection = sampler.sample_random_batch(theta, source)
             index = cls(collection, graph=graph, model=resolved, meta=meta, jobs=jobs)
             index._sampler = sampler
         return index

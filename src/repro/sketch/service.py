@@ -40,15 +40,14 @@ failures (``update`` never replays), and a request carrying ``deadline_ms``
 ``deadline_exceeded`` error rather than hanging the loop.
 
 The protocol itself lives in :mod:`repro.api.ops`: :meth:`execute` is the
-typed front (``SelectRequest`` in, ``SelectResponse`` out) and is what
-``run_batch`` and the CLI speak; the dict-in/dict-out :meth:`query` is a
-deprecated shim over it with byte-identical payloads.
+typed front (``SelectRequest`` in, ``SelectResponse`` out; wire dicts are
+parsed on the way in, and ``.to_wire()`` gives the payload back) and is
+what ``run_batch`` and the CLI speak.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 from collections import OrderedDict
 from typing import Any, Iterable
 
@@ -212,7 +211,7 @@ class InfluenceService:
     max_indexes:
         Capacity of the LRU; the least-recently-used index is evicted when a
         build would exceed it.
-    default_k, epsilon, ell, engine:
+    default_k, epsilon, ell:
         Build parameters for cold misses (θ derived the TIM way from
         ``epsilon`` at budget ``default_k``); ``theta`` overrides the
         derivation with a fixed sketch size.
@@ -226,7 +225,7 @@ class InfluenceService:
         with the coarser membership-based invalidation.
     policy:
         An :class:`~repro.api.policy.ExecutionPolicy` supplying defaults
-        for ``engine``/``jobs``/``trace_edges``/``epsilon``/``ell`` in one
+        for ``jobs``/``trace_edges``/``epsilon``/``ell`` in one
         validated object; the explicit keyword arguments above override
         its fields.  Without a policy, ``epsilon`` keeps the service's
         historical ``0.3`` default (coarser than the library-wide ``0.1``
@@ -258,8 +257,7 @@ class InfluenceService:
 
     def __init__(self, max_indexes: int = 4, *, default_k: int = 10,
                  epsilon: float | None = None, ell: float | None = None,
-                 theta: int | None = None,
-                 engine: str | None = None, jobs: int | None = None,
+                 theta: int | None = None, jobs: int | None = None,
                  trace_edges: bool | None = None,
                  policy: ExecutionPolicy | None = None, rng: Any = None,
                  deadline_ms: float | None = None,
@@ -274,7 +272,6 @@ class InfluenceService:
         self.epsilon = float(epsilon)
         self.ell = float(resolved.ell if ell is None else ell)
         self.theta = theta
-        self.engine = resolved.engine if engine is None else engine
         self.jobs = resolved.jobs if jobs is None else jobs
         self.trace_edges = bool(resolved.trace_edges if trace_edges is None else trace_edges)
         if deadline_ms is None:
@@ -340,7 +337,6 @@ class InfluenceService:
             epsilon=self.epsilon,
             ell=self.ell,
             rng=self._rng.spawn(),
-            engine=self.engine,
             jobs=self.jobs,
             trace_edges=self.trace_edges,
         )
@@ -572,22 +568,6 @@ class InfluenceService:
             op_name = op or "<missing>"
             self.stats.per_op[op_name] = self.stats.per_op.get(op_name, 0) + 1
         return response
-
-    def query(self, graph: Any, request: dict[str, Any],
-              model: Any = None) -> dict[str, Any]:
-        """Deprecated dict front: parse → :meth:`execute` → wire dict.
-
-        Kept for backward compatibility; the payload is byte-identical to
-        ``execute(graph, request, model).to_wire()`` (it *is* that call).
-        """
-        warnings.warn(
-            "InfluenceService.query(dict) is deprecated; use "
-            "execute(graph, SelectRequest(k=...)) (repro.api.ops) for typed "
-            "calls, or run_batch for JSONL streams. Payloads are identical.",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.execute(graph, request, model=model).to_wire()
 
     def run_batch(self, graph: Any, lines: Iterable[str],
                   model: Any = None) -> list[dict[str, Any]]:

@@ -1,7 +1,7 @@
 """Shared utilities: RNG management, timing, memory accounting, validation."""
 
 from repro.utils.lazy_heap import LazyMaxHeap, lazy_greedy_maximize
-from repro.utils.memory import PeakTracker, deep_size_of_rr_sets, track_peak
+from repro.utils.memory import PeakTracker, track_peak
 from repro.utils.rng import RandomSource, resolve_rng, spawn_children, spawn_seed_streams
 from repro.utils.timer import PhaseTimer, Timer, timed
 from repro.utils.validation import (
@@ -18,7 +18,6 @@ __all__ = [
     "LazyMaxHeap",
     "lazy_greedy_maximize",
     "PeakTracker",
-    "deep_size_of_rr_sets",
     "track_peak",
     "RandomSource",
     "resolve_rng",

@@ -1,40 +1,19 @@
 """Memory accounting for the Figure 12 reproduction.
 
 The paper attributes TIM+'s memory footprint to the RR-set collection
-(|R| = λ/KPT+, Section 7.4).  We therefore report two complementary numbers:
-
-* :func:`deep_size_of_rr_sets` — the bytes held by the Python objects storing
-  the sampled RR sets (the algorithmically meaningful quantity), and
-* :class:`PeakTracker` — ``tracemalloc`` peak over a code region (the
-  process-level quantity, closest to the paper's resident-set measurements).
+(|R| = λ/KPT+, Section 7.4).  The collection's own bytes come from
+:meth:`~repro.rrset.flat_collection.FlatRRCollection.nbytes`;
+:class:`PeakTracker` adds the process-level quantity — the ``tracemalloc``
+peak over a code region, closest to the paper's resident-set measurements.
 """
 
 from __future__ import annotations
 
-import sys
 import tracemalloc
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-__all__ = ["deep_size_of_rr_sets", "PeakTracker", "track_peak"]
-
-
-def deep_size_of_rr_sets(rr_sets) -> int:
-    """Total bytes held by a sequence of RR sets (tuples/lists of ints).
-
-    Counts the outer container, each inner container, and — once per distinct
-    object — the integer payloads.  Small ints are interned by CPython, so we
-    deduplicate by id to avoid double counting.
-    """
-    seen: set[int] = set()
-    total = sys.getsizeof(rr_sets)
-    for rr in rr_sets:
-        total += sys.getsizeof(rr)
-        for node in rr:
-            if id(node) not in seen:
-                seen.add(id(node))
-                total += sys.getsizeof(node)
-    return total
+__all__ = ["PeakTracker", "track_peak"]
 
 
 @dataclass

@@ -5,13 +5,11 @@ import argparse
 import pytest
 
 from repro.api import ExecutionPolicy
-from repro.api.policy import DEPRECATED, resolve_call_policy
 
 
 class TestValidation:
     def test_defaults_match_legacy_call_defaults(self):
         policy = ExecutionPolicy()
-        assert policy.engine == "vectorized"
         assert policy.jobs is None
         assert policy.trace_edges is False
         assert policy.epsilon == 0.1
@@ -20,10 +18,15 @@ class TestValidation:
 
     def test_frozen(self):
         with pytest.raises(AttributeError):
-            ExecutionPolicy().engine = "python"
+            ExecutionPolicy().jobs = 2
+
+    def test_has_no_engine_field(self):
+        assert "engine" not in ExecutionPolicy.field_names()
+        with pytest.raises(TypeError):
+            ExecutionPolicy(engine="python")
 
     @pytest.mark.parametrize("bad", [
-        {"engine": "turbo"},
+        {"deadline_ms": 0},
         {"jobs": -1},
         {"jobs": 1.5},
         {"jobs": True},
@@ -62,9 +65,9 @@ class TestValidation:
 
 class TestMerge:
     def test_merge_skips_none(self):
-        base = ExecutionPolicy(engine="python", jobs=4)
-        merged = base.merge(engine=None, jobs=None, epsilon=0.2)
-        assert merged.engine == "python"
+        base = ExecutionPolicy(algorithm="imm", jobs=4)
+        merged = base.merge(algorithm=None, jobs=None, epsilon=0.2)
+        assert merged.algorithm == "imm"
         assert merged.jobs == 4
         assert merged.epsilon == 0.2
 
@@ -75,54 +78,58 @@ class TestMerge:
     def test_merge_no_overrides_returns_self(self):
         base = ExecutionPolicy()
         assert base.merge() is base
-        assert base.merge(engine=None) is base
+        assert base.merge(algorithm=None) is base
 
     def test_merge_rejects_unknown_field(self):
         with pytest.raises(ValueError, match="unknown execution-policy field"):
-            ExecutionPolicy().merge(engin="python")
+            ExecutionPolicy().merge(engine="python")
 
     def test_from_kwargs_rejects_unknown_field(self):
         with pytest.raises(ValueError, match="unknown execution-policy field"):
             ExecutionPolicy.from_kwargs(threads=4)
 
     def test_from_kwargs_layers_over_base(self):
-        base = ExecutionPolicy(engine="python")
+        base = ExecutionPolicy(algorithm="imm")
         policy = ExecutionPolicy.from_kwargs(base=base, jobs=2)
-        assert (policy.engine, policy.jobs) == ("python", 2)
+        assert (policy.algorithm, policy.jobs) == ("imm", 2)
 
     def test_coerce(self):
         assert ExecutionPolicy.coerce(None) == ExecutionPolicy()
         policy = ExecutionPolicy(jobs=3)
         assert ExecutionPolicy.coerce(policy) is policy
-        assert ExecutionPolicy.coerce({"engine": "python"}).engine == "python"
+        assert ExecutionPolicy.coerce({"algorithm": "imm"}).algorithm == "imm"
         with pytest.raises(ValueError, match="policy must be"):
             ExecutionPolicy.coerce("vectorized")
 
     def test_as_dict_roundtrip(self):
-        policy = ExecutionPolicy(engine="python", jobs=2, trace_edges=True,
+        policy = ExecutionPolicy(algorithm="imm", jobs=2, trace_edges=True,
                                  epsilon=0.25, ell=1.5, reuse_sketch=False)
         assert ExecutionPolicy(**policy.as_dict()) == policy
 
 
 class TestEnvResolution:
     def test_reads_all_variables(self):
-        env = {"REPRO_ENGINE": "python", "REPRO_JOBS": "4",
-               "REPRO_TRACE_EDGES": "yes", "REPRO_EPSILON": "0.2",
-               "REPRO_ELL": "2.0", "REPRO_ALGORITHM": "imm"}
+        env = {"REPRO_JOBS": "4", "REPRO_TRACE_EDGES": "yes",
+               "REPRO_EPSILON": "0.2", "REPRO_ELL": "2.0",
+               "REPRO_METRICS": "1", "REPRO_DEADLINE_MS": "250",
+               "REPRO_ALGORITHM": "imm"}
         policy = ExecutionPolicy.from_env(env)
-        assert policy == ExecutionPolicy(engine="python", jobs=4,
-                                         trace_edges=True, epsilon=0.2, ell=2.0,
+        assert policy == ExecutionPolicy(jobs=4, trace_edges=True, epsilon=0.2,
+                                         ell=2.0, metrics=True, deadline_ms=250.0,
                                          algorithm="imm")
 
     def test_empty_and_missing_are_unset(self):
-        assert ExecutionPolicy.from_env({"REPRO_ENGINE": ""}) == ExecutionPolicy()
+        assert ExecutionPolicy.from_env({"REPRO_JOBS": ""}) == ExecutionPolicy()
         assert ExecutionPolicy.from_env({}) == ExecutionPolicy()
+
+    def test_engine_variable_is_not_read(self):
+        assert ExecutionPolicy.from_env({"REPRO_ENGINE": "python"}) == ExecutionPolicy()
 
     @pytest.mark.parametrize("env, message", [
         ({"REPRO_JOBS": "many"}, "REPRO_JOBS"),
         ({"REPRO_TRACE_EDGES": "maybe"}, "REPRO_TRACE_EDGES"),
         ({"REPRO_EPSILON": "tight"}, "REPRO_EPSILON"),
-        ({"REPRO_ENGINE": "turbo"}, "engine must be"),
+        ({"REPRO_DEADLINE_MS": "-5"}, "deadline_ms must be"),
     ])
     def test_invalid_values_fail_loudly(self, env, message):
         with pytest.raises(ValueError, match=message):
@@ -141,7 +148,7 @@ class TestEnvResolution:
 
 class TestArgsResolution:
     def _args(self, **kwargs):
-        namespace = argparse.Namespace(engine=None, jobs=None, trace_edges=None,
+        namespace = argparse.Namespace(jobs=None, trace_edges=None,
                                        epsilon=None, ell=None)
         for key, value in kwargs.items():
             setattr(namespace, key, value)
@@ -149,10 +156,10 @@ class TestArgsResolution:
 
     def test_cli_flags_override_env(self):
         policy = ExecutionPolicy.from_args(
-            self._args(engine="python", jobs=2),
-            env={"REPRO_ENGINE": "vectorized", "REPRO_JOBS": "8"},
+            self._args(epsilon=0.2, jobs=2),
+            env={"REPRO_EPSILON": "0.5", "REPRO_JOBS": "8"},
         )
-        assert (policy.engine, policy.jobs) == ("python", 2)
+        assert (policy.epsilon, policy.jobs) == (0.2, 2)
 
     def test_algorithm_flag_layers_over_env(self):
         policy = ExecutionPolicy.from_args(
@@ -172,37 +179,3 @@ class TestArgsResolution:
     def test_namespace_without_policy_attributes(self):
         policy = ExecutionPolicy.from_args(argparse.Namespace(), env={})
         assert policy == ExecutionPolicy()
-
-
-class TestLegacyResolution:
-    def test_no_legacy_kwargs_no_warning(self, recwarn):
-        policy, index = resolve_call_policy("f()", None)
-        assert policy == ExecutionPolicy()
-        assert index is None
-        assert not [w for w in recwarn.list
-                    if issubclass(w.category, DeprecationWarning)]
-
-    def test_legacy_kwargs_warn_and_merge(self):
-        with pytest.warns(DeprecationWarning, match="engine, jobs"):
-            policy, index = resolve_call_policy(
-                "f()", None, engine="python", jobs=2, sketch_index="IDX")
-        assert (policy.engine, policy.jobs) == ("python", 2)
-        assert index == "IDX"
-
-    def test_explicit_legacy_jobs_none_overrides_policy(self):
-        # jobs=None is the old API's spelling of "single stream"; passing
-        # it explicitly must win over a policy's worker count.
-        with pytest.warns(DeprecationWarning):
-            policy, _ = resolve_call_policy(
-                "f()", ExecutionPolicy(jobs=4), jobs=None)
-        assert policy.jobs is None
-
-    def test_modern_index_wins_over_legacy(self):
-        with pytest.warns(DeprecationWarning):
-            _, index = resolve_call_policy(
-                "f()", None, sketch_index="OLD", index="NEW")
-        assert index == "NEW"
-
-    def test_sentinel_repr_and_singleton(self):
-        assert repr(DEPRECATED) == "<deprecated>"
-        assert type(DEPRECATED)() is DEPRECATED

@@ -1,10 +1,10 @@
-"""Legacy call shapes: still working, warning, and byte-identical.
+"""Entry points under ``policy=``: layering, forwarding, and identity.
 
-The acceptance bar for the unified API: ``tim_plus(graph, k, engine=...,
-jobs=..., sketch_index=...)`` and dict-based ``InfluenceService.query``
-must keep producing byte-identical seed sets / sketch bytes to the new
-``ExecutionPolicy`` / typed-request path at equal seeds, under a
-``DeprecationWarning``.
+A policy field is the default layer under an explicit argument; explicit
+keywords and the equivalent policy give byte-identical sketches; wire
+dicts and typed requests give identical payloads; the algorithm
+registry forwards ``policy=`` only to the algorithms that take it; and
+the removed legacy keywords fail loudly instead of being dropped.
 """
 
 import json
@@ -14,7 +14,34 @@ import pytest
 from repro import InfluenceService, SketchIndex, maximize_influence, ris, tim, tim_plus
 from repro.algorithms import register_algorithm, supports_policy
 from repro.api import ExecutionPolicy, SelectRequest
+from repro.core import estimate_kpt, node_selection, refine_kpt
 from repro.graphs import gnm_random_digraph, weighted_cascade
+from repro.rrset import make_rr_sampler
+
+#: How each entry point that carried legacy keywords is called.
+ENTRY_POINTS = {
+    "tim": lambda graph, sampler, **kw: tim(graph, 2, **kw),
+    "tim_plus": lambda graph, sampler, **kw: tim_plus(graph, 2, **kw),
+    "ris": lambda graph, sampler, **kw: ris(graph, 2, **kw),
+    "node_selection": lambda graph, sampler, **kw: node_selection(graph, 2, 100, sampler, **kw),
+    "estimate_kpt": lambda graph, sampler, **kw: estimate_kpt(graph, 2, sampler, **kw),
+    "refine_kpt": lambda graph, sampler, **kw: refine_kpt(graph, 2, 1.0, [], sampler, 0.5, **kw),
+}
+
+#: The keywords each entry point no longer takes, with a value callers used.
+REMOVED_KEYWORDS = [
+    (entry, keyword)
+    for entry, keywords in {
+        "tim": ("engine", "sketch_index", "jobs"),
+        "tim_plus": ("engine", "sketch_index", "jobs"),
+        "ris": ("engine", "sketch_index", "jobs"),
+        "node_selection": ("engine", "collection", "jobs"),
+        "estimate_kpt": ("engine", "jobs"),
+        "refine_kpt": ("engine", "jobs"),
+    }.items()
+    for keyword in keywords
+]
+LEGACY_VALUES = {"engine": "vectorized", "jobs": 1, "sketch_index": None, "collection": None}
 
 
 @pytest.fixture(scope="module")
@@ -22,47 +49,7 @@ def wc_graph():
     return weighted_cascade(gnm_random_digraph(60, 240, rng=11))
 
 
-def _legacy(call, *args, **kwargs):
-    """Run a legacy-shaped call, asserting it warns, and return its result."""
-    with pytest.warns(DeprecationWarning):
-        return call(*args, **kwargs)
-
-
-class TestTimFamilyShims:
-    def test_tim_plus_engine_jobs_kwargs_byte_identical(self, wc_graph):
-        legacy = _legacy(tim_plus, wc_graph, 4, epsilon=0.5, rng=13,
-                         engine="vectorized", jobs=1)
-        modern = tim_plus(wc_graph, 4, epsilon=0.5, rng=13,
-                          policy=ExecutionPolicy(engine="vectorized", jobs=1))
-        assert legacy.seeds == modern.seeds
-        assert legacy.theta == modern.theta
-        assert legacy.kpt_star == modern.kpt_star
-        assert legacy.rr_collection_bytes == modern.rr_collection_bytes
-
-    def test_tim_python_engine_kwarg_byte_identical(self, wc_graph):
-        legacy = _legacy(tim, wc_graph, 3, epsilon=0.6, rng=19, engine="python")
-        modern = tim(wc_graph, 3, epsilon=0.6, rng=19,
-                     policy=ExecutionPolicy(engine="python"))
-        assert legacy.seeds == modern.seeds
-        assert legacy.theta == modern.theta
-
-    def test_tim_sketch_index_kwarg_byte_identical(self, wc_graph):
-        def build():
-            return SketchIndex.build(wc_graph, "IC", theta=800, rng=23)
-
-        legacy = _legacy(tim, wc_graph, 4, epsilon=0.6, rng=29,
-                         sketch_index=build())
-        modern = tim(wc_graph, 4, epsilon=0.6, rng=29, index=build())
-        assert legacy.seeds == modern.seeds
-        assert legacy.theta == modern.theta
-
-    def test_ris_legacy_kwargs_byte_identical(self, wc_graph):
-        legacy = _legacy(ris, wc_graph, 3, rng=5, epsilon=0.4,
-                         engine="vectorized", jobs=1)
-        modern = ris(wc_graph, 3, rng=5, epsilon=0.4,
-                     policy=ExecutionPolicy(jobs=1))
-        assert legacy.seeds == modern.seeds
-
+class TestTimFamilyPolicy:
     def test_default_paths_do_not_warn(self, wc_graph, recwarn):
         tim(wc_graph, 2, epsilon=0.6, rng=1)
         tim_plus(wc_graph, 2, epsilon=0.6, rng=1)
@@ -93,10 +80,9 @@ class TestTimFamilyShims:
         assert override.seeds == explicit.seeds
 
 
-class TestSketchBytesShim:
+class TestSketchBytes:
     def test_sketch_file_bytes_identical_across_paths(self, wc_graph, tmp_path):
-        a = SketchIndex.build(wc_graph, "IC", theta=600, rng=31,
-                              engine="vectorized", jobs=None)
+        a = SketchIndex.build(wc_graph, "IC", theta=600, rng=31, jobs=None)
         b = SketchIndex.build(wc_graph, "IC", theta=600, rng=31,
                               policy=ExecutionPolicy())
         path_a, path_b = tmp_path / "a.npz", tmp_path / "b.npz"
@@ -105,18 +91,18 @@ class TestSketchBytesShim:
         assert path_a.read_bytes() == path_b.read_bytes()
 
 
-class TestServiceQueryShim:
-    def test_dict_query_warns_and_matches_typed_execute(self, wc_graph):
+class TestServiceWireDicts:
+    def test_wire_dict_matches_typed_execute(self, wc_graph):
         # Two identically-seeded services: cold builds are deterministic, so
-        # the typed path and the dict shim must agree byte for byte.
+        # the typed request and its wire dict must agree byte for byte.
         typed = InfluenceService(theta=500, rng=0).execute(
             wc_graph, SelectRequest(k=3, id="q")).to_wire()
-        legacy = _legacy(InfluenceService(theta=500, rng=0).query,
-                         wc_graph, {"op": "select", "k": 3, "id": "q"})
+        wire = InfluenceService(theta=500, rng=0).execute(
+            wc_graph, {"op": "select", "k": 3, "id": "q"}).to_wire()
         # identical payloads modulo wall-clock
         typed.pop("latency_ms")
-        legacy.pop("latency_ms")
-        assert legacy == typed
+        wire.pop("latency_ms")
+        assert wire == typed
         assert typed["cache"] == "miss"
 
     def test_run_batch_does_not_warn(self, wc_graph, recwarn):
@@ -170,3 +156,26 @@ class TestRegistryReload:
             assert shim_called == [2]
         finally:
             register_algorithm("tim", tim, replace=True)
+
+
+class TestRemovedCallShapes:
+    """A caller still passing a removed keyword gets a TypeError at the call,
+    not a silently ignored argument."""
+
+    @pytest.mark.parametrize("entry,keyword", REMOVED_KEYWORDS,
+                             ids=[f"{e}-{k}" for e, k in REMOVED_KEYWORDS])
+    def test_legacy_keyword_rejected(self, wc_graph, entry, keyword):
+        sampler = make_rr_sampler(wc_graph, "IC")
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{keyword}'"):
+            ENTRY_POINTS[entry](wc_graph, sampler, **{keyword: LEGACY_VALUES[keyword]})
+
+    def test_sketch_build_rejects_engine(self, wc_graph):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'engine'"):
+            SketchIndex.build(wc_graph, "IC", theta=100, rng=1, engine="vectorized")
+
+    def test_service_rejects_engine(self):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'engine'"):
+            InfluenceService(theta=100, engine="vectorized")
+
+    def test_service_has_no_dict_query(self):
+        assert not hasattr(InfluenceService, "query")

@@ -248,7 +248,7 @@ class TestTypedOps:
             stats = session.execute(StatsRequest()).stats
             assert stats["model"] == "IC"
             assert stats["num_rr_sets"] == session.num_rr_sets
-            assert stats["policy"]["engine"] == "vectorized"
+            assert stats["policy"] == session.policy.as_dict()
 
     def test_stats_report_sketch_certification(self, wc_graph):
         with InfluenceSession(wc_graph, "IC", rng=6) as session:

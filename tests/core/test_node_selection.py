@@ -4,8 +4,8 @@ import pytest
 
 from repro.core import node_selection
 from repro.graphs import path_digraph, star_digraph
-from repro.rrset import RRCollection, make_rr_sampler
-from repro.utils.rng import RandomSource
+from repro.rrset import make_rr_sampler
+from repro.sketch import SketchIndex
 
 
 class TestSelection:
@@ -48,24 +48,30 @@ class TestSelection:
         )
         assert lazy.coverage_fraction == pytest.approx(exact.coverage_fraction)
 
-    def test_prefilled_collection_reused(self, small_wc_graph):
+    def test_prefilled_index_reused(self, small_wc_graph):
         sampler = make_rr_sampler(small_wc_graph, "IC")
-        collection = RRCollection(small_wc_graph.n, small_wc_graph.m)
-        collection.extend(sampler.sample_many(50, RandomSource(7)))
-        result = node_selection(
-            small_wc_graph, 3, theta=50, sampler=sampler, rng=8, collection=collection
-        )
-        assert result.collection is collection
-        assert result.num_rr_sets == 50  # nothing new sampled
+        index = SketchIndex.build(small_wc_graph, "IC", theta=50, rng=7)
+        try:
+            held = index.collection
+            result = node_selection(
+                small_wc_graph, 3, theta=50, sampler=sampler, rng=8, index=index
+            )
+            assert result.collection is held
+            assert result.num_rr_sets == 50  # nothing new sampled
+        finally:
+            index.close()
 
-    def test_prefilled_collection_topped_up(self, small_wc_graph):
+    def test_prefilled_index_topped_up(self, small_wc_graph):
         sampler = make_rr_sampler(small_wc_graph, "IC")
-        collection = RRCollection(small_wc_graph.n, small_wc_graph.m)
-        collection.extend(sampler.sample_many(10, RandomSource(9)))
-        result = node_selection(
-            small_wc_graph, 3, theta=60, sampler=sampler, rng=10, collection=collection
-        )
-        assert result.num_rr_sets == 60
+        index = SketchIndex.build(small_wc_graph, "IC", theta=10, rng=9)
+        try:
+            result = node_selection(
+                small_wc_graph, 3, theta=60, sampler=sampler, rng=10, index=index
+            )
+            assert result.num_rr_sets == 60
+            assert len(index.collection) == 60
+        finally:
+            index.close()
 
 
 class TestQuality:

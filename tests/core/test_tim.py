@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import tim, tim_plus
 from repro.diffusion import ICTriggering, LTTriggering, TriggeringModel
-from repro.graphs import path_digraph, star_digraph
+from repro.graphs import GraphBuilder, path_digraph, star_digraph
 
 
 class TestResultContract:
@@ -104,6 +104,19 @@ class TestSolutionQuality:
     def test_lazy_coverage_variant(self, small_wc_graph):
         result = tim_plus(small_wc_graph, 3, epsilon=0.5, rng=15, coverage="lazy")
         assert len(result.seeds) == 3
+
+    @pytest.mark.parametrize("run", [
+        lambda g: tim_plus(g, 2, epsilon=0.5, rng=16),
+        lambda g: tim(g, 2, epsilon=0.5, rng=16, refine=True),
+    ], ids=["tim_plus", "tim_refine"])
+    def test_edgeless_graph_skips_refinement(self, run):
+        # Algorithm 2 samples nothing when m = 0 (KPT* = 1), so there is no
+        # R' for Algorithm 3; TIM+ must still answer with KPT+ = KPT* = 1.
+        result = run(GraphBuilder(num_nodes=5).build())
+        assert len(set(result.seeds)) == 2
+        assert result.kpt_star == result.kpt_plus == 1.0
+        assert result.rr_sets_per_phase["refinement"] == 0
+        assert result.extras["interim_seeds"] == []
 
 
 class TestModels:

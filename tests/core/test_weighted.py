@@ -1,5 +1,7 @@
 """Tests for node-weighted influence maximization."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,9 +16,8 @@ class TestWeightedRootSampler:
         weights = np.ones(small_wc_graph.n)
         weights[7] = 10.0
         sampler = WeightedRootSampler(make_rr_sampler(small_wc_graph, "IC"), weights)
-        rng = RandomSource(1)
-        roots = [sampler.sample(rng).root for _ in range(6000)]
-        frequency = roots.count(7) / 6000
+        roots = sampler.sample_random_batch(6000, RandomSource(1)).roots_array
+        frequency = np.count_nonzero(roots == 7) / 6000
         expected = 10.0 / weights.sum()
         assert frequency == pytest.approx(expected, rel=0.15)
 
@@ -24,8 +25,25 @@ class TestWeightedRootSampler:
         weights = np.ones(small_wc_graph.n)
         weights[3] = 0.0
         sampler = WeightedRootSampler(make_rr_sampler(small_wc_graph, "IC"), weights)
-        rng = RandomSource(2)
-        assert all(sampler.sample(rng).root != 3 for _ in range(600))
+        roots = sampler.sample_random_batch(600, RandomSource(2)).roots_array
+        assert roots.size == 600
+        assert not np.any(roots == 3)
+
+    def test_scalar_sample_keeps_weighted_roots(self, small_wc_graph):
+        weights = np.zeros(small_wc_graph.n)
+        weights[5] = 1.0
+        sampler = WeightedRootSampler(make_rr_sampler(small_wc_graph, "IC"), weights)
+        rng = RandomSource(3)
+        assert {sampler.sample(rng).root for _ in range(20)} == {5}
+        assert {rr.root for rr in sampler.sample_many(20, rng)} == {5}
+
+    def test_explicit_roots_take_the_inner_batch_path(self, small_wc_graph):
+        sampler = WeightedRootSampler(
+            make_rr_sampler(small_wc_graph, "IC"), np.ones(small_wc_graph.n))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # no scalar fallback
+            batch = sampler.sample_batch(np.array([4, 2, 4]), RandomSource(4))
+        assert batch.roots_array.tolist() == [4, 2, 4]
 
     def test_rejects_negative_weights(self, small_wc_graph):
         weights = np.ones(small_wc_graph.n)
@@ -50,12 +68,8 @@ class TestWeightedRootSampler:
         # w3 * P(0 activates 3) + w0 * 1 = 8 * 0.125 + 1.
         weights = np.array([1.0, 0.0, 0.0, 8.0])
         sampler = WeightedRootSampler(make_rr_sampler(g, "IC"), weights)
-        rng = RandomSource(3)
         runs = 30000
-        covered = 0
-        for _ in range(runs):
-            if 0 in sampler.sample(rng).nodes:
-                covered += 1
+        covered = sampler.sample_random_batch(runs, RandomSource(3)).coverage_count([0])
         estimate = covered / runs * sampler.total_weight
         assert estimate == pytest.approx(8 * 0.125 + 1.0, abs=0.1)
 

@@ -26,7 +26,7 @@ def service():
 class TestServiceApplyUpdate:
     def test_update_rekeys_cached_index(self, service, wc_graph):
         dynamic = DynamicDiGraph(wc_graph)
-        service.query(dynamic, {"op": "select", "k": 3})
+        service.execute(dynamic, {"op": "select", "k": 3})
         old_key = service.cached_keys()[0]
         result = service.apply_update(
             dynamic, {"action": "delete", "u": int(wc_graph.src[0]), "v": int(wc_graph.dst[0])}
@@ -37,7 +37,7 @@ class TestServiceApplyUpdate:
         assert old_key not in service.cached_keys()
         assert service.cached_keys() == [(dynamic.fingerprint(), "IC")]
         # Next query hits the repaired index warm — no rebuild.
-        response = service.query(dynamic, {"op": "select", "k": 3})
+        response = service.execute(dynamic, {"op": "select", "k": 3}).to_wire()
         assert response["cache"] == "hit"
         assert service.stats.builds == 1
         assert service.stats.repairs == 1
@@ -49,13 +49,13 @@ class TestServiceApplyUpdate:
         assert result["repaired_indexes"] == []
         assert service.stats.repairs == 0
         # The next query cold-builds against the updated snapshot.
-        response = service.query(dynamic, {"op": "select", "k": 2})
+        response = service.execute(dynamic, {"op": "select", "k": 2}).to_wire()
         assert response["cache"] == "miss"
 
     def test_update_requires_dynamic_graph(self, service, wc_graph):
-        response = service.query(
+        response = service.execute(
             wc_graph, {"op": "update", "action": "delete", "u": 0, "v": 1}
-        )
+        ).to_wire()
         assert response["ok"] is False
         assert "DynamicDiGraph" in response["error"]["message"]
         assert service.stats.errors == 1
@@ -77,9 +77,9 @@ class TestServiceApplyUpdate:
 
     def test_bad_update_is_an_error_response_not_a_crash(self, service, wc_graph):
         dynamic = DynamicDiGraph(wc_graph)
-        response = service.query(
+        response = service.execute(
             dynamic, {"op": "update", "action": "delete", "u": 0, "v": 0}
-        )
+        ).to_wire()
         assert response["ok"] is False  # no self-loop 0->0 in the graph
         # The graph was not mutated by the failed update.
         assert dynamic.version == 0
@@ -95,29 +95,29 @@ class TestServiceApplyUpdate:
         graph = uniform_random_lt(gnm_random_digraph(40, 160, rng=7), rng=1)
         service = InfluenceService(max_indexes=2, theta=300, trace_edges=True, rng=17)
         dynamic = DynamicDiGraph(graph)
-        service.query(dynamic, {"op": "select", "k": 2, "model": "LT"})
+        service.execute(dynamic, {"op": "select", "k": 2, "model": "LT"})
         cached_before = service.cached_keys()
         index_before = next(iter(service._indexes.values()))
         # Push a node's in-weight sum over 1: invalid for the cached LT index.
         heavy = int(np.argmax(np.bincount(graph.dst.astype(int),
                                           weights=graph.prob, minlength=graph.n)))
-        response = service.query(dynamic, {
+        response = service.execute(dynamic, {
             "op": "update", "action": "insert",
             "u": (heavy + 1) % graph.n, "v": heavy, "p": 1.0,
-        })
+        }).to_wire()
         assert response["ok"] is False
         assert "LT weights invalid" in response["error"]["message"]
         assert dynamic.version == 0
         assert service.cached_keys() == cached_before
         assert next(iter(service._indexes.values())) is index_before
         # The untouched index still answers warm.
-        assert service.query(dynamic, {"op": "select", "k": 2, "model": "LT"})["cache"] == "hit"
+        assert service.execute(dynamic, {"op": "select", "k": 2, "model": "LT"}).to_wire()["cache"] == "hit"
 
     def test_update_rejects_boolean_endpoints(self, service, wc_graph):
         dynamic = DynamicDiGraph(wc_graph)
-        response = service.query(
+        response = service.execute(
             dynamic, {"op": "update", "action": "delete", "u": True, "v": 0}
-        )
+        ).to_wire()
         assert response["ok"] is False
         assert "integer" in response["error"]["message"]
         assert dynamic.version == 0

@@ -138,51 +138,10 @@ class TestCommands:
         assert "greedy/tim" in out
 
 
-class TestEngineFlag:
-    def test_engine_threaded_to_tim(self, capsys):
-        for engine in ("vectorized", "python"):
-            code = main(
-                [
-                    "run", "--algorithm", "tim", "--dataset", "nethept",
-                    "--scale", "0.05", "-k", "2", "--epsilon", "0.5",
-                    "--seed", "3", "--engine", engine,
-                ]
-            )
-            assert code == 0
-            assert "seeds" in capsys.readouterr().out
-
-    def test_engine_accepted_for_ris(self, capsys):
-        code = main(
-            [
-                "run", "--algorithm", "ris", "--dataset", "nethept",
-                "--scale", "0.05", "-k", "2", "--epsilon", "0.5",
-                "--seed", "3", "--engine", "python",
-            ]
-        )
-        assert code == 0
-
-    def test_engine_rejected_for_heuristics(self):
-        import pytest
-
-        with pytest.raises(SystemExit, match="--engine"):
-            main(
-                [
-                    "run", "--algorithm", "degree", "--dataset", "nethept",
-                    "--scale", "0.05", "-k", "2", "--engine", "python",
-                ]
-            )
-
-    def test_engine_choices_validated(self):
-        import pytest
-
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "--engine", "turbo"])
-
-
 class TestSharedExecutionFlags:
-    """--engine/--jobs/--trace-edges come from one parent parser, so the
-    flag set (names, choices, defaults) is identical on every subcommand
-    that samples RR sets."""
+    """--jobs/--trace-edges come from one parent parser, so the flag set
+    (names, choices, defaults) is identical on every subcommand that
+    samples RR sets."""
 
     SUBCOMMANDS = {
         "run": [],
@@ -195,19 +154,23 @@ class TestSharedExecutionFlags:
         parser = build_parser()
         for command, extra in self.SUBCOMMANDS.items():
             args = parser.parse_args(
-                [command, *extra, "--engine", "python", "--jobs", "2",
-                 "--trace-edges"]
+                [command, *extra, "--jobs", "2", "--trace-edges"]
             )
-            assert args.engine == "python"
             assert args.jobs == 2
             assert args.trace_edges is True
 
     def test_unset_flags_default_to_none_for_env_layering(self):
         for command, extra in self.SUBCOMMANDS.items():
             args = build_parser().parse_args([command, *extra])
-            assert args.engine is None
             assert args.jobs is None
             assert args.trace_edges is None
+
+    def test_engine_flag_is_gone(self):
+        import pytest
+
+        for command, extra in self.SUBCOMMANDS.items():
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command, *extra, "--engine", "vectorized"])
 
     def test_no_trace_edges_is_an_explicit_false(self):
         args = build_parser().parse_args(["sketch", "--out", "x.npz",
@@ -215,7 +178,7 @@ class TestSharedExecutionFlags:
         assert args.trace_edges is False
 
     def test_env_layer_feeds_run(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_ENGINE", "python")
+        monkeypatch.setenv("REPRO_JOBS", "1")
         code = main(
             ["run", "--dataset", "nethept", "--scale", "0.05", "-k", "2",
              "--epsilon", "0.5", "--seed", "3"]
@@ -227,12 +190,12 @@ class TestSharedExecutionFlags:
         from repro.api import ExecutionPolicy
 
         monkeypatch.setenv("REPRO_JOBS", "8")
-        monkeypatch.setenv("REPRO_ENGINE", "vectorized")
+        monkeypatch.setenv("REPRO_EPSILON", "0.5")
         args = build_parser().parse_args(
-            ["run", "--jobs", "2", "--engine", "python"])
+            ["run", "--jobs", "2", "--epsilon", "0.2"])
         policy = ExecutionPolicy.from_args(args)
         assert policy.jobs == 2
-        assert policy.engine == "python"
+        assert policy.epsilon == 0.2
 
     def test_env_epsilon_reaches_sketch_and_serve(self, monkeypatch):
         from repro.cli import _SERVING_DEFAULTS, _resolve_policy
@@ -279,7 +242,7 @@ class TestSharedExecutionFlags:
                 "--epsilon", "0.5", "--seed", "3"]
         assert main(argv) == 0
         plain = capsys.readouterr().out
-        assert main([*argv, "--engine", "vectorized"]) == 0
+        assert main([*argv, "--ell", "1.0"]) == 0
         flagged = capsys.readouterr().out
         seeds = [line for line in plain.splitlines() if "seeds" in line]
         assert seeds == [line for line in flagged.splitlines() if "seeds" in line]

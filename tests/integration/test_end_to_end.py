@@ -124,3 +124,11 @@ class TestCrossAlgorithmConsistency:
         exact = exact_spread_ic(arena, result.seeds)
         # TIM's internal estimate n·F_R(S) should approximate the truth.
         assert result.estimated_spread == pytest.approx(exact, rel=0.25)
+
+    @pytest.mark.parametrize("algorithm", ["tim", "tim+", "imm", "ris"])
+    def test_edgeless_graph_gets_k_distinct_seeds(self, algorithm):
+        # m = 0: every RR set is its root alone, and Algorithm 2 samples
+        # nothing, yet every RR solver must still answer.
+        graph = GraphBuilder(num_nodes=5).build()
+        result = maximize_influence(graph, 2, algorithm=algorithm, epsilon=0.5, rng=16)
+        assert len(set(result.seeds)) == 2

@@ -14,7 +14,7 @@ from repro.analysis import (
     sample_indegree_weighted_node,
 )
 from repro.graphs import GraphBuilder, gnm_random_digraph, weighted_cascade
-from repro.rrset import RRCollection, make_rr_sampler
+from repro.rrset import make_rr_sampler
 from repro.utils.rng import RandomSource
 
 
@@ -65,8 +65,7 @@ class TestCorollary1:
     def test_rr_spread_estimator_unbiased(self, oracle_graph, seeds):
         exact = exact_spread_ic(oracle_graph, seeds)
         sampler = make_rr_sampler(oracle_graph, "IC")
-        collection = RRCollection(oracle_graph.n, oracle_graph.m)
-        collection.extend(sampler.sample_many(20000, RandomSource(7)))
+        collection = sampler.sample_random_batch(20000, RandomSource(7))
         estimate = collection.estimate_spread(seeds)
         assert estimate == pytest.approx(exact, abs=0.15)
 
@@ -105,8 +104,7 @@ class TestLemma3Empirically:
         _, opt = brute_force_opt(oracle_graph, k, "IC")
         theta = theta_from_kpt(lambda_param(oracle_graph.n, k, epsilon, ell), opt)
         sampler = make_rr_sampler(oracle_graph, "IC")
-        collection = RRCollection(oracle_graph.n, oracle_graph.m)
-        collection.extend(sampler.sample_many(theta, RandomSource(21)))
+        collection = sampler.sample_random_batch(theta, RandomSource(21))
         # Check the band for a handful of seed sets, as Lemma 3 promises
         # for every set simultaneously whp.
         for seeds in ([0, 1], [2, 3], [4, 7], [0, 6]):

@@ -65,8 +65,9 @@ class TestSelection:
     def test_list_rules(self, mini_project, capsys):
         assert run_cli("--list-rules") == EXIT_CLEAN
         out = capsys.readouterr().out
-        for code in ("RL101", "RL201", "RL301", "RL401", "RL402", "RL501"):
+        for code in ("RL101", "RL201", "RL301", "RL401", "RL501"):
             assert code in out
+        assert "RL402" not in out
 
 
 class TestJsonFormat:

@@ -22,9 +22,9 @@ def codes(findings):
 
 
 class TestRegistry:
-    def test_all_ten_rules_registered(self):
+    def test_all_nine_rules_registered(self):
         assert sorted(registered_rules()) == [
-            "RL101", "RL201", "RL301", "RL401", "RL402", "RL501", "RL601",
+            "RL101", "RL201", "RL301", "RL401", "RL501", "RL601",
             "RL701", "RL702", "RL703",
         ]
 

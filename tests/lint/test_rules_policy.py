@@ -1,4 +1,4 @@
-"""RL401 policy-kwarg drift and RL402 deprecation hygiene."""
+"""RL401 policy-kwarg drift."""
 
 from repro.lint.framework import lint_source
 
@@ -27,16 +27,21 @@ class TestPolicyKwargDrift:
         assert len(findings) == 1
         assert "jobs=" in findings[0].message
 
-    def test_deprecated_sentinel_shim_is_the_blessed_shape(self):
+    def test_sentinel_default_is_no_longer_exempt(self):
         source = (
-            "from repro.api.policy import DEPRECATED, resolve_call_policy\n"
-            "\n"
             "def run(graph, k, engine=DEPRECATED, *, policy=None):\n"
-            "    resolved, _ = resolve_call_policy('run()', policy, engine=engine)\n"
-            "    return resolved\n"
+            "    return graph, k, policy\n"
+        )
+        findings = rl(source, "RL401")
+        assert [(f.line, f.code) for f in findings] == [(1, "RL401")]
+        assert "engine=" in findings[0].message
+
+    def test_policy_keyword_alone_is_clean(self):
+        source = (
+            "def run(graph, k, *, policy=None, index=None):\n"
+            "    return graph, k, policy, index\n"
         )
         assert rl(source, "RL401") == []
-        assert rl(source, "RL402") == []
 
     def test_required_positional_param_exempt(self):
         source = (
@@ -68,65 +73,3 @@ class TestPolicyKwargDrift:
         assert rl(source, "RL401", path="src/repro/rrset/base.py") == []
         assert rl(source, "RL401", path="src/repro/parallel/engine.py") == []
         assert len(rl(source, "RL401", path="src/repro/core/base.py")) == 1
-
-
-class TestDeprecationHygiene:
-    def test_silent_shim_fires(self):
-        source = (
-            "from repro.api.policy import DEPRECATED\n"
-            "\n"
-            "\n"
-            "def run(graph, engine=DEPRECATED):\n"
-            "    return graph\n"
-        )
-        findings = rl(source, "RL402")
-        assert len(findings) == 1
-        assert (findings[0].line, findings[0].code) == (4, "RL402")
-        assert "engine=" in findings[0].message
-
-    def test_shim_fires_on_methods_too(self):
-        source = (
-            "class Service:\n"
-            "    def query(self, request, sketch_index=DEPRECATED):\n"
-            "        return request\n"
-        )
-        findings = rl(source, "RL402")
-        assert len(findings) == 1
-        assert findings[0].line == 2
-
-    def test_resolve_call_policy_counts_as_warning(self):
-        source = (
-            "def run(graph, engine=DEPRECATED, *, policy=None):\n"
-            "    resolved, _ = resolve_call_policy('run()', policy, engine=engine)\n"
-            "    return resolved\n"
-        )
-        assert rl(source, "RL402") == []
-
-    def test_warn_legacy_kwargs_counts_as_warning(self):
-        source = (
-            "def run(graph, jobs=DEPRECATED):\n"
-            "    if jobs is not DEPRECATED:\n"
-            "        warn_legacy_kwargs('run()', ['jobs'])\n"
-            "    return graph\n"
-        )
-        assert rl(source, "RL402") == []
-
-    def test_direct_warnings_warn_counts(self):
-        source = (
-            "import warnings\n"
-            "\n"
-            "def run(graph, engine=DEPRECATED):\n"
-            "    warnings.warn('engine= is deprecated', DeprecationWarning, stacklevel=2)\n"
-            "    return graph\n"
-        )
-        assert rl(source, "RL402") == []
-
-    def test_non_deprecation_warn_does_not_count(self):
-        source = (
-            "import warnings\n"
-            "\n"
-            "def run(graph, engine=DEPRECATED):\n"
-            "    warnings.warn('heads up', UserWarning, stacklevel=2)\n"
-            "    return graph\n"
-        )
-        assert len(rl(source, "RL402")) == 1

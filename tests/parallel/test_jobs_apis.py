@@ -1,6 +1,8 @@
-"""`jobs=` threading through the core algorithms, sketch subsystem, and CLI.
+"""Worker counts through the core algorithms, sketch subsystem, and CLI.
 
-The contract under test everywhere: an explicit ``jobs`` engages the
+The contract under test everywhere: an explicit ``jobs`` (on the
+:class:`~repro.api.policy.ExecutionPolicy`, or ``jobs=`` on the sketch
+classes and ``--jobs`` on the CLI) engages the
 sharded deterministic engine, and every worker count produces byte-identical
 RR collections — hence identical KPT estimates, seed sets, and sketch
 files.
@@ -14,13 +16,11 @@ import numpy as np
 import pytest
 
 from repro.algorithms.ris import ris
+from repro.api import ExecutionPolicy
 from repro.core import estimate_kpt, node_selection, tim, tim_plus
 from repro.graphs import gnm_random_digraph, weighted_cascade
 from repro.rrset import make_rr_sampler
 from repro.sketch import InfluenceService, SketchIndex
-
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")  # this module deliberately exercises the deprecated legacy surface
-
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +31,8 @@ def wc_graph():
 class TestCoreAlgorithms:
     def test_estimate_kpt_identical_across_jobs(self, wc_graph):
         results = [
-            estimate_kpt(wc_graph, 5, make_rr_sampler(wc_graph, "IC"), rng=3, jobs=jobs)
+            estimate_kpt(wc_graph, 5, make_rr_sampler(wc_graph, "IC"), rng=3,
+                         policy=ExecutionPolicy(jobs=jobs))
             for jobs in (1, 2, 4)
         ]
         assert results[0].kpt_star == results[1].kpt_star == results[2].kpt_star
@@ -39,7 +40,8 @@ class TestCoreAlgorithms:
         assert results[0].total_cost == results[1].total_cost == results[2].total_cost
 
     def test_tim_identical_across_jobs(self, wc_graph):
-        results = [tim(wc_graph, 4, epsilon=0.5, rng=11, jobs=jobs) for jobs in (1, 2, 4)]
+        results = [tim(wc_graph, 4, epsilon=0.5, rng=11, policy=ExecutionPolicy(jobs=jobs))
+                   for jobs in (1, 2, 4)]
         assert results[0].seeds == results[1].seeds == results[2].seeds
         assert results[0].theta == results[1].theta == results[2].theta
         assert results[0].kpt_star == results[1].kpt_star == results[2].kpt_star
@@ -50,8 +52,8 @@ class TestCoreAlgorithms:
         )
 
     def test_tim_plus_identical_across_jobs(self, wc_graph):
-        a = tim_plus(wc_graph, 4, epsilon=0.5, rng=13, jobs=1)
-        b = tim_plus(wc_graph, 4, epsilon=0.5, rng=13, jobs=2)
+        a = tim_plus(wc_graph, 4, epsilon=0.5, rng=13, policy=ExecutionPolicy(jobs=1))
+        b = tim_plus(wc_graph, 4, epsilon=0.5, rng=13, policy=ExecutionPolicy(jobs=2))
         assert a.seeds == b.seeds
         assert a.kpt_plus == b.kpt_plus
         assert a.extras["interim_seeds"] == b.extras["interim_seeds"]
@@ -59,7 +61,8 @@ class TestCoreAlgorithms:
     def test_node_selection_identical_across_jobs(self, wc_graph):
         picks = [
             node_selection(
-                wc_graph, 3, 2500, make_rr_sampler(wc_graph, "IC"), rng=7, jobs=jobs
+                wc_graph, 3, 2500, make_rr_sampler(wc_graph, "IC"), rng=7,
+                policy=ExecutionPolicy(jobs=jobs),
             )
             for jobs in (1, 2)
         ]
@@ -70,30 +73,16 @@ class TestCoreAlgorithms:
         )
 
     def test_ris_identical_across_jobs(self, wc_graph):
-        a = ris(wc_graph, 3, rng=5, epsilon=0.4, jobs=1)
-        b = ris(wc_graph, 3, rng=5, epsilon=0.4, jobs=2)
+        a = ris(wc_graph, 3, rng=5, epsilon=0.4, policy=ExecutionPolicy(jobs=1))
+        b = ris(wc_graph, 3, rng=5, epsilon=0.4, policy=ExecutionPolicy(jobs=2))
         assert a.seeds == b.seeds
         assert a.extras["num_rr_sets"] == b.extras["num_rr_sets"]
         assert a.extras["total_cost"] == b.extras["total_cost"]
 
     def test_jobs_zero_resolves_to_cpu_count(self, wc_graph):
-        baseline = tim(wc_graph, 3, epsilon=0.5, rng=17, jobs=1)
-        all_cores = tim(wc_graph, 3, epsilon=0.5, rng=17, jobs=0)
+        baseline = tim(wc_graph, 3, epsilon=0.5, rng=17, policy=ExecutionPolicy(jobs=1))
+        all_cores = tim(wc_graph, 3, epsilon=0.5, rng=17, policy=ExecutionPolicy(jobs=0))
         assert all_cores.seeds == baseline.seeds
-
-    def test_python_engine_ignores_jobs_with_warning(self, wc_graph):
-        with pytest.warns(RuntimeWarning, match="jobs is ignored"):
-            result = tim(wc_graph, 3, epsilon=0.6, rng=19, engine="python", jobs=2)
-        assert len(result.seeds) == 3
-
-    def test_python_engine_warning_is_consistent_everywhere(self, wc_graph):
-        sampler = make_rr_sampler(wc_graph, "IC")
-        with pytest.warns(RuntimeWarning, match="jobs is ignored"):
-            estimate_kpt(wc_graph, 3, sampler, rng=2, engine="python", jobs=2)
-        with pytest.warns(RuntimeWarning, match="jobs is ignored"):
-            node_selection(wc_graph, 2, 200, sampler, rng=2, engine="python", jobs=2)
-        with pytest.warns(RuntimeWarning, match="jobs is ignored"):
-            SketchIndex.build(wc_graph, "IC", theta=100, rng=2, engine="python", jobs=2)
 
     def test_legacy_default_path_unchanged(self, wc_graph):
         # jobs=None must keep consuming the caller's RNG exactly as before
@@ -128,9 +117,10 @@ class TestSketchSubsystem:
         assert grown[0].select(4).seeds == grown[1].select(4).seeds
 
     def test_tim_through_index_matches_cold_tim(self, wc_graph):
-        cold = tim(wc_graph, 4, epsilon=0.6, rng=47, jobs=2)
+        cold = tim(wc_graph, 4, epsilon=0.6, rng=47, policy=ExecutionPolicy(jobs=2))
         index = SketchIndex(graph=wc_graph)
-        warm = tim(wc_graph, 4, epsilon=0.6, rng=47, jobs=2, sketch_index=index)
+        warm = tim(wc_graph, 4, epsilon=0.6, rng=47, policy=ExecutionPolicy(jobs=2),
+                   index=index)
         assert warm.seeds == cold.seeds
 
     def test_index_close_allows_further_growth(self, wc_graph):
@@ -142,9 +132,9 @@ class TestSketchSubsystem:
 
     def test_service_builds_with_jobs(self, wc_graph):
         service = InfluenceService(theta=800, jobs=2, rng=53)
-        first = service.query(wc_graph, {"op": "select", "k": 3})
+        first = service.execute(wc_graph, {"op": "select", "k": 3}).to_wire()
         assert first["ok"] and first["cache"] == "miss"
-        second = service.query(wc_graph, {"op": "select", "k": 3})
+        second = service.execute(wc_graph, {"op": "select", "k": 3}).to_wire()
         assert second["ok"] and second["cache"] == "hit"
         assert first["result"]["seeds"] == second["result"]["seeds"]
         service.close()

@@ -1,12 +1,12 @@
-"""Tests for RRCollection."""
+"""FlatRRCollection on a hand-built collection with hand-computed answers."""
 
 import pytest
 
-from repro.rrset import RRCollection, RRSet
+from repro.rrset import FlatRRCollection, RRSet
 
 
-def make_collection() -> RRCollection:
-    collection = RRCollection(num_nodes=5, graph_edges=10)
+def make_collection() -> FlatRRCollection:
+    collection = FlatRRCollection(num_nodes=5, graph_edges=10)
     collection.append(RRSet(root=0, nodes=(0, 1), width=3, cost=5))
     collection.append(RRSet(root=2, nodes=(2,), width=1, cost=2))
     collection.append(RRSet(root=3, nodes=(3, 1, 4), width=6, cost=9))
@@ -29,18 +29,20 @@ class TestBookkeeping:
         assert list(collection.roots) == [0, 2, 3]
 
     def test_extend(self):
-        collection = RRCollection(num_nodes=3, graph_edges=2)
-        collection.extend([RRSet(0, (0,), 0, 1), RRSet(1, (1,), 1, 2)])
+        collection = FlatRRCollection(num_nodes=3, graph_edges=2)
+        rr_sets = [RRSet(0, (0,), 0, 1), RRSet(1, (1,), 1, 2)]
+        collection.extend(rr_sets)
         assert len(collection) == 2
+        assert collection.to_rrsets() == rr_sets
 
     def test_nbytes_grows(self):
-        small = RRCollection(num_nodes=5, graph_edges=10)
+        small = FlatRRCollection(num_nodes=5, graph_edges=10)
         small.append(RRSet(0, (0,), 0, 1))
         assert make_collection().nbytes() > small.nbytes()
 
     def test_rejects_empty_universe(self):
         with pytest.raises(ValueError):
-            RRCollection(num_nodes=0, graph_edges=0)
+            FlatRRCollection(num_nodes=0, graph_edges=0)
 
 
 class TestCoverage:
@@ -54,7 +56,8 @@ class TestCoverage:
         assert make_collection().coverage_fraction([1]) == pytest.approx(2 / 3)
 
     def test_empty_collection_fraction_zero(self):
-        collection = RRCollection(num_nodes=5, graph_edges=10)
+        collection = FlatRRCollection(num_nodes=5, graph_edges=10)
+        assert collection.coverage_count([1]) == 0
         assert collection.coverage_fraction([1]) == 0.0
 
     def test_estimate_spread_is_n_times_fraction(self):
@@ -70,7 +73,7 @@ class TestEstimators:
         assert make_collection().mean_width() == pytest.approx(10 / 3)
 
     def test_mean_width_empty(self):
-        assert RRCollection(num_nodes=5, graph_edges=10).mean_width() == 0.0
+        assert FlatRRCollection(num_nodes=5, graph_edges=10).mean_width() == 0.0
 
     def test_mean_kappa_k1_is_mean_width_over_m(self):
         collection = make_collection()

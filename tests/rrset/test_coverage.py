@@ -6,9 +6,9 @@ from repro.rrset import (
     brute_force_max_coverage,
     coverage_of,
     greedy_max_coverage,
-    greedy_max_coverage_python,
     lazy_greedy_max_coverage,
 )
+from tests.rrset.greedy_oracle import reference_greedy
 
 
 SIMPLE_SETS = [(0, 1), (1, 2), (2,), (3,), (0, 3)]
@@ -140,12 +140,12 @@ class TestTieBreakAlignment:
 
 
 class TestNumpyPythonParity:
-    """The vectorised exact greedy must match the pure-Python original."""
+    """The vectorised exact greedy must match the pure-Python oracle."""
 
     def test_simple_sets(self):
         for k in (1, 2, 4):
             vec = greedy_max_coverage(SIMPLE_SETS, 4, k)
-            ref = greedy_max_coverage_python(SIMPLE_SETS, 4, k)
+            ref = reference_greedy(SIMPLE_SETS, 4, k)
             assert vec.seeds == ref.seeds
             assert vec.covered == ref.covered
             assert vec.marginal_gains == ref.marginal_gains
@@ -162,7 +162,7 @@ class TestNumpyPythonParity:
             ]
             k = rng.randint(1, num_nodes)
             vec = greedy_max_coverage(sets, num_nodes, k)
-            ref = greedy_max_coverage_python(sets, num_nodes, k)
+            ref = reference_greedy(sets, num_nodes, k)
             assert vec.seeds == ref.seeds, f"trial {trial}"
             assert vec.covered == ref.covered
             assert vec.marginal_gains == ref.marginal_gains

@@ -1,11 +1,11 @@
-"""FlatRRCollection: layout, estimators, and parity with RRCollection."""
+"""FlatRRCollection: layout, estimators, and byte accounting."""
 
 import random
 
 import numpy as np
 import pytest
 
-from repro.rrset import FlatRRCollection, RRCollection, RRSet
+from repro.rrset import FlatRRCollection, RRSet
 
 
 def random_rrsets(seed: int, num_nodes: int = 40, count: int = 120) -> list[RRSet]:
@@ -20,11 +20,9 @@ def random_rrsets(seed: int, num_nodes: int = 40, count: int = 120) -> list[RRSe
 
 
 def paired_collections(seed: int = 0, num_nodes: int = 40, graph_edges: int = 77):
+    """The RR sets as a plain list (the reference) and as a flat collection."""
     rr_sets = random_rrsets(seed, num_nodes=num_nodes)
-    classic = RRCollection(num_nodes, graph_edges)
-    classic.extend(rr_sets)
-    flat = FlatRRCollection.from_rrsets(num_nodes, graph_edges, rr_sets)
-    return classic, flat
+    return rr_sets, FlatRRCollection.from_rrsets(num_nodes, graph_edges, rr_sets)
 
 
 class TestLayout:
@@ -36,8 +34,8 @@ class TestLayout:
         assert np.all(np.diff(ptr) >= 1)
 
     def test_sets_roundtrip(self):
-        classic, flat = paired_collections()
-        assert [tuple(s) for s in flat.sets] == list(classic.sets)
+        rr_sets, flat = paired_collections()
+        assert [tuple(s) for s in flat.sets] == [rr.nodes for rr in rr_sets]
 
     def test_to_rrsets_roundtrip(self):
         rr_sets = random_rrsets(3)
@@ -78,48 +76,56 @@ class TestLayout:
         with pytest.raises(ValueError):
             flat.truncate(6)
 
-    def test_rejects_empty_universe(self):
-        with pytest.raises(ValueError):
-            FlatRRCollection(num_nodes=0, graph_edges=0)
 
-
-class TestParityWithRRCollection:
-    """Same logical contents ⇒ same estimator values, on random inputs."""
+class TestEstimatorsMatchDirectSums:
+    """Each estimator equals the same quantity summed over the stored sets."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_estimators_agree(self, seed):
-        classic, flat = paired_collections(seed)
-        assert len(flat) == len(classic)
-        assert list(flat.widths) == list(classic.widths)
-        assert list(flat.roots) == list(classic.roots)
-        assert flat.total_cost == classic.total_cost
-        assert flat.total_nodes_stored == classic.total_nodes_stored
-        assert flat.mean_width() == pytest.approx(classic.mean_width())
+        rr_sets, flat = paired_collections(seed)
+        widths = [rr.width for rr in rr_sets]
+        costs = [rr.cost for rr in rr_sets]
+        assert len(flat) == len(rr_sets)
+        assert list(flat.widths) == widths
+        assert list(flat.roots) == [rr.root for rr in rr_sets]
+        assert list(flat.costs) == costs
+        assert np.array_equal(flat.costs_array, costs)
+        assert np.array_equal(flat.set_sizes(), [len(rr) for rr in rr_sets])
+        assert flat.total_cost == sum(costs)
+        assert flat.total_nodes_stored == sum(len(rr) for rr in rr_sets)
+        assert flat.mean_width() == pytest.approx(sum(widths) / len(widths))
         for k in (1, 3, 10):
-            assert flat.mean_kappa(k) == pytest.approx(classic.mean_kappa(k))
-        assert flat.node_frequencies() == classic.node_frequencies()
+            kappas = [1.0 - (1.0 - w / 77) ** k for w in widths]
+            assert flat.mean_kappa(k) == pytest.approx(sum(kappas) / len(kappas))
+            assert flat.kappa_sum(k) == pytest.approx(sum(kappas))
+        frequencies = [0] * 40
+        for rr in rr_sets:
+            for node in rr.nodes:
+                frequencies[node] += 1
+        assert flat.node_frequencies() == frequencies
+        assert np.array_equal(flat.node_frequency_array(), frequencies)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_coverage_agrees(self, seed):
-        classic, flat = paired_collections(seed)
+        rr_sets, flat = paired_collections(seed)
         rng = random.Random(seed + 100)
         for _ in range(10):
             probe = rng.sample(range(40), rng.randint(1, 6))
-            assert flat.coverage_count(probe) == classic.coverage_count(probe)
-            assert flat.coverage_fraction(probe) == pytest.approx(
-                classic.coverage_fraction(probe)
-            )
-            assert flat.estimate_spread(probe) == pytest.approx(
-                classic.estimate_spread(probe)
-            )
+            covered = sum(1 for rr in rr_sets if set(probe).intersection(rr.nodes))
+            assert flat.coverage_count(probe) == covered
+            assert flat.coverage_fraction(probe) == pytest.approx(covered / len(rr_sets))
+            assert flat.estimate_spread(probe) == pytest.approx(40 * covered / len(rr_sets))
 
-    def test_empty_collections_agree(self):
-        classic = RRCollection(5, 10)
+    def test_empty_collection_estimators(self):
         flat = FlatRRCollection(5, 10)
-        assert flat.coverage_fraction([1]) == classic.coverage_fraction([1]) == 0.0
-        assert flat.mean_width() == classic.mean_width() == 0.0
-        assert flat.mean_kappa(2) == classic.mean_kappa(2) == 0.0
-        assert flat.total_cost == classic.total_cost == 0
+        assert flat.coverage_fraction([1]) == 0.0
+        assert flat.mean_width() == 0.0
+        assert flat.mean_kappa(2) == 0.0
+        assert flat.kappa_sum(3) == 0.0
+        assert flat.total_cost == 0
+        assert flat.costs_array.size == 0
+        assert flat.set_sizes().size == 0
+        assert np.array_equal(flat.node_frequency_array(), np.zeros(5))
 
     def test_kappa_sum_matches_mean(self):
         _, flat = paired_collections()
@@ -147,27 +153,7 @@ class TestBytesAccounting:
         b.truncate(1)
         assert a.nbytes() == b.nbytes()
 
-    def test_classic_nbytes_counts_int_payloads(self):
-        """The fixed RRCollection accounting must exceed container-only size."""
-        import sys
-
-        classic, _ = paired_collections(10)
-        container_only = sys.getsizeof(classic._sets) + sum(
-            sys.getsizeof(s) for s in classic._sets
-        )
-        assert classic.nbytes() > container_only
-
-    def test_parity_flat_is_leaner(self):
-        """Same contents: packed arrays must undercut tuple-of-int storage."""
-        classic, flat = paired_collections(11)
-        assert 0 < flat.nbytes() < classic.nbytes()
-
-    def test_both_grow_with_contents(self):
-        small_sets = random_rrsets(12, count=10)
-        big_sets = random_rrsets(12, count=200)
-        for cls in (RRCollection, FlatRRCollection):
-            small = cls(40, 77)
-            small.extend(small_sets)
-            big = cls(40, 77)
-            big.extend(big_sets)
-            assert big.nbytes() > small.nbytes()
+    def test_grows_with_contents(self):
+        small = FlatRRCollection.from_rrsets(40, 77, random_rrsets(12, count=10))
+        big = FlatRRCollection.from_rrsets(40, 77, random_rrsets(12, count=200))
+        assert big.nbytes() > small.nbytes()

@@ -3,10 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.node_selection import node_selection
 from repro.core.tim import tim
 from repro.graphs import gnm_random_digraph, weighted_cascade
-from repro.rrset import make_rr_sampler
 from repro.rrset.coverage import greedy_max_coverage
 from repro.sketch import SketchGraphMismatchError, SketchIndex
 
@@ -31,14 +29,10 @@ class TestSelection:
         assert result.marginal_gains == expected.marginal_gains
 
     def test_matches_node_selection(self, wc_graph):
-        """select(k) equals Algorithm 1 run over the same collection."""
-        sampler = make_rr_sampler(wc_graph, "IC")
+        """select(k) equals Algorithm 1's exact greedy over the same collection."""
         index = SketchIndex.build(wc_graph, "IC", theta=900, rng=5)
         for k in (1, 3, 8, 15):
-            expected = node_selection(
-                wc_graph, k, len(index.collection), sampler,
-                rng=0, collection=index.collection,
-            )
+            expected = greedy_max_coverage(index.collection, wc_graph.n, k)
             assert index.select(k, incremental=False).seeds == expected.seeds
 
     def test_incremental_extends_previous_answer(self, index, wc_graph):

@@ -23,8 +23,8 @@ def service():
 
 class TestCache:
     def test_miss_then_hit(self, service, wc_graph):
-        first = service.query(wc_graph, {"op": "select", "k": 3})
-        second = service.query(wc_graph, {"op": "select", "k": 3})
+        first = service.execute(wc_graph, {"op": "select", "k": 3}).to_wire()
+        second = service.execute(wc_graph, {"op": "select", "k": 3}).to_wire()
         assert first["cache"] == "miss"
         assert second["cache"] == "hit"
         assert first["result"]["seeds"] == second["result"]["seeds"]
@@ -33,8 +33,8 @@ class TestCache:
     def test_distinct_graphs_get_distinct_indexes(self, service):
         a = weighted_cascade(gnm_random_digraph(50, 200, rng=1))
         b = weighted_cascade(gnm_random_digraph(50, 200, rng=2))
-        service.query(a, {"op": "select", "k": 2})
-        service.query(b, {"op": "select", "k": 2})
+        service.execute(a, {"op": "select", "k": 2})
+        service.execute(b, {"op": "select", "k": 2})
         assert len(service) == 2
         assert service.stats.builds == 2
 
@@ -43,11 +43,11 @@ class TestCache:
             weighted_cascade(gnm_random_digraph(40, 160, rng=seed)) for seed in (1, 2, 3)
         ]
         for graph in graphs:
-            service.query(graph, {"op": "select", "k": 2})
+            service.execute(graph, {"op": "select", "k": 2})
         assert len(service) == 2
         assert service.stats.evictions == 1
         # Oldest graph was evicted: querying it again is a rebuild miss.
-        response = service.query(graphs[0], {"op": "select", "k": 2})
+        response = service.execute(graphs[0], {"op": "select", "k": 2}).to_wire()
         assert response["cache"] == "miss"
 
     def test_add_index_registers_preloaded_sketch(self, service, wc_graph, tmp_path):
@@ -55,14 +55,14 @@ class TestCache:
         path = tmp_path / "sk.npz"
         index.save(path)
         service.add_index(SketchIndex.load(path, graph=wc_graph))
-        response = service.query(wc_graph, {"op": "select", "k": 2})
+        response = service.execute(wc_graph, {"op": "select", "k": 2}).to_wire()
         assert response["cache"] == "hit"
         assert service.stats.builds == 0
 
 
 class TestQueries:
     def test_select_response_shape(self, service, wc_graph):
-        response = service.query(wc_graph, {"op": "select", "k": 4, "id": "q1"})
+        response = service.execute(wc_graph, {"op": "select", "k": 4, "id": "q1"}).to_wire()
         assert response["ok"] and response["id"] == "q1"
         result = response["result"]
         assert len(result["seeds"]) == 4
@@ -73,25 +73,25 @@ class TestQueries:
         assert response["latency_ms"] >= 0.0
 
     def test_select_with_constraints(self, service, wc_graph):
-        response = service.query(
+        response = service.execute(
             wc_graph, {"op": "select", "k": 4, "include": [5], "exclude": [6]}
-        )
+        ).to_wire()
         assert response["ok"]
         assert response["result"]["seeds"][0] == 5
         assert 6 not in response["result"]["seeds"]
 
     def test_spread_and_marginal_gain(self, service, wc_graph):
-        seeds = service.query(wc_graph, {"op": "select", "k": 3})["result"]["seeds"]
-        spread = service.query(wc_graph, {"op": "spread", "seeds": seeds})
+        seeds = service.execute(wc_graph, {"op": "select", "k": 3}).to_wire()["result"]["seeds"]
+        spread = service.execute(wc_graph, {"op": "spread", "seeds": seeds}).to_wire()
         assert spread["ok"] and spread["result"]["spread"] > 0
-        gain = service.query(
+        gain = service.execute(
             wc_graph, {"op": "marginal_gain", "seeds": seeds[:2], "candidate": seeds[2]}
-        )
+        ).to_wire()
         assert gain["ok"] and gain["result"]["gain"] >= 0
 
     def test_stats_op(self, service, wc_graph):
-        service.query(wc_graph, {"op": "select", "k": 2})
-        response = service.query(wc_graph, {"op": "stats"})
+        service.execute(wc_graph, {"op": "select", "k": 2})
+        response = service.execute(wc_graph, {"op": "stats"}).to_wire()
         assert response["ok"]
         assert response["result"]["queries"] == 1
         assert response["result"]["per_op"] == {"select": 1}
@@ -105,13 +105,13 @@ class TestQueries:
             {"op": "marginal_gain", "seeds": [1]},
             {"op": "spread", "seeds": [10_000]},
         ):
-            response = service.query(wc_graph, request)
+            response = service.execute(wc_graph, request).to_wire()
             assert not response["ok"]
             assert "error" in response
         assert service.stats.errors == 6
 
     def test_errors_are_structured_payloads(self, service, wc_graph):
-        response = service.query(wc_graph, {"op": "warp", "k": 1})
+        response = service.execute(wc_graph, {"op": "warp", "k": 1}).to_wire()
         assert response["ok"] is False
         assert response["error"]["code"] == "unknown_op"
         assert "warp" in response["error"]["message"]
@@ -120,17 +120,17 @@ class TestQueries:
     def test_unknown_fields_rejected_not_ignored(self, service, wc_graph):
         """A typo'd key used to be silently dropped — a healthy-looking
         wrong answer.  Now it is a structured error."""
-        response = service.query(
-            wc_graph, {"op": "select", "k": 2, "includ": [1]})
+        response = service.execute(
+            wc_graph, {"op": "select", "k": 2, "includ": [1]}).to_wire()
         assert response["ok"] is False
         assert response["error"]["code"] == "unknown_field"
         assert "includ" in response["error"]["message"]
         assert service.stats.errors == 1
 
     def test_schema_version_negotiation(self, service, wc_graph):
-        ok = service.query(wc_graph, {"op": "select", "k": 2, "schema_version": 1})
+        ok = service.execute(wc_graph, {"op": "select", "k": 2, "schema_version": 1}).to_wire()
         assert ok["ok"] and ok["schema_version"] == 1
-        future = service.query(wc_graph, {"op": "select", "k": 2, "schema_version": 99})
+        future = service.execute(wc_graph, {"op": "select", "k": 2, "schema_version": 99}).to_wire()
         assert future["ok"] is False
         assert future["error"]["code"] == "unsupported_schema_version"
 
@@ -192,11 +192,11 @@ class TestEvictionClosesPools:
             weighted_cascade(gnm_random_digraph(40, 160, rng=seed)) for seed in (1, 2, 3)
         ]
         calls = []
-        service.query(graphs[0], {"op": "select", "k": 2})
-        service.query(graphs[1], {"op": "select", "k": 2})
+        service.execute(graphs[0], {"op": "select", "k": 2})
+        service.execute(graphs[1], {"op": "select", "k": 2})
         for tag, index in enumerate(service._indexes.values()):
             self._spy(index, calls, tag)
-        service.query(graphs[2], {"op": "select", "k": 2})  # evicts index 0
+        service.execute(graphs[2], {"op": "select", "k": 2})  # evicts index 0
         assert calls == [0]
 
     def test_service_close_closes_every_cached_index(self, service):
@@ -204,7 +204,7 @@ class TestEvictionClosesPools:
             weighted_cascade(gnm_random_digraph(40, 160, rng=seed)) for seed in (4, 5)
         ]
         for graph in graphs:
-            service.query(graph, {"op": "select", "k": 2})
+            service.execute(graph, {"op": "select", "k": 2})
         calls = []
         for tag, index in enumerate(service._indexes.values()):
             self._spy(index, calls, tag)
@@ -217,12 +217,12 @@ class TestEvictionClosesPools:
         service = InfluenceService(max_indexes=1, theta=300, jobs=2, rng=6)
         first = weighted_cascade(gnm_random_digraph(40, 160, rng=7))
         second = weighted_cascade(gnm_random_digraph(40, 160, rng=8))
-        service.query(first, {"op": "select", "k": 2})
+        service.execute(first, {"op": "select", "k": 2})
         index = next(iter(service._indexes.values()))
         sampler = index._sampler
         assert isinstance(sampler, ParallelSampler)
         assert sampler._state.get("executor") is not None  # pool is live
-        service.query(second, {"op": "select", "k": 2})  # evicts `index`
+        service.execute(second, {"op": "select", "k": 2})  # evicts `index`
         assert service.stats.evictions == 1
         # The evicted index's pool and shared-graph pack are both released.
         assert sampler._state.get("executor") is None
@@ -236,7 +236,7 @@ class TestEvictionClosesPools:
                                    trace_edges=True, rng=6)
         graph = weighted_cascade(gnm_random_digraph(40, 160, rng=7))
         dynamic = DynamicDiGraph(graph)
-        service.query(dynamic, {"op": "select", "k": 2})
+        service.execute(dynamic, {"op": "select", "k": 2})
         index = next(iter(service._indexes.values()))
         old_sampler = index._sampler
         assert isinstance(old_sampler, ParallelSampler)

@@ -1,21 +1,6 @@
 """Tests for memory accounting."""
 
-from repro.utils.memory import deep_size_of_rr_sets, track_peak
-
-
-class TestDeepSize:
-    def test_empty(self):
-        assert deep_size_of_rr_sets([]) > 0  # container itself
-
-    def test_grows_with_content(self):
-        small = deep_size_of_rr_sets([(1, 2)])
-        large = deep_size_of_rr_sets([(1, 2), (3, 4, 5), (6,)])
-        assert large > small
-
-    def test_shared_ints_counted_once(self):
-        shared = deep_size_of_rr_sets([(1,), (1,)])
-        distinct = deep_size_of_rr_sets([(1,), (2,)])
-        assert shared <= distinct
+from repro.utils.memory import track_peak
 
 
 class TestTrackPeak:
