@@ -1,14 +1,14 @@
-"""Ablations of this implementation's design choices (DESIGN.md §4).
+"""Ablations of this implementation's design choices.
 
 Not paper figures: these justify (a) the Binomial fast path in the IC RR
-sampler and (b) offering both exact and lazy max-coverage greedy variants.
+sampler and (b) the numpy-batched RR sampler over the scalar one.
 Each ablation embeds its own semantics check so a speed-up can never hide a
 behaviour change.
 """
 
 from conftest import run_once
 
-from repro.experiments import ablation_coverage, ablation_engine, ablation_ic_fast_path
+from repro.experiments import ablation_engine, ablation_ic_fast_path
 
 
 def test_ic_sampler_fast_path(benchmark, record_experiment):
@@ -35,12 +35,3 @@ def test_engine_vectorized_vs_python(benchmark, record_experiment):
         # The vectorized engine must win on every stand-in dataset.
         assert speedup > 1.0, dataset
 
-
-def test_coverage_greedy_variants(benchmark, record_experiment):
-    result = run_once(benchmark, ablation_coverage)
-    record_experiment(result)
-
-    for row in result.rows:
-        k, exact_s, lazy_s, exact_covered, lazy_covered = row
-        # Both are exact greedy: achieved coverage must be identical.
-        assert exact_covered == lazy_covered, f"k={k}"

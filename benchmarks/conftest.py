@@ -2,8 +2,7 @@
 
 Every figure-level bench renders its reproduction table, prints it (visible
 with ``pytest -s``) and writes it under ``benchmarks/results/<name>.txt`` so
-the regenerated evaluation survives the run (EXPERIMENTS.md is built from
-these files).
+the regenerated evaluation survives the run.
 """
 
 from __future__ import annotations

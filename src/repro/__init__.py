@@ -17,7 +17,7 @@ Quickstart::
 
 (or the one-shot drivers: ``tim_plus(graph, k=50, epsilon=0.2, rng=0)``.)
 
-Package map (see DESIGN.md for the full inventory):
+Package map (README's *Layout* section lists every directory):
 
 * :mod:`repro.graphs` — CSR digraph, builders, generators, weights, I/O;
 * :mod:`repro.diffusion` — IC, LT and general triggering propagation;

@@ -11,7 +11,7 @@ ingredients:
   already activated by ``S``; the original uses a MIA-style local-tree
   estimate truncated at path probability θ.
 
-Substitution note (DESIGN.md §3): the authors' C++ IE implementation is not
+Substitution note: the authors' C++ IE implementation is not
 available, so ``AP`` is estimated by Monte-Carlo simulation of ``S``
 (``ap_runs`` runs, default 200).  This preserves IE's role — damping ranks
 of nodes the current seeds already reach — and keeps the heuristic's

@@ -7,8 +7,8 @@ These make Lemmas 4 and 5 executable:
 * Lemma 5 — ``KPT = n · E[κ(R)]``.
 
 The library's algorithms don't need these directly (Algorithm 2 folds the
-estimation into its adaptive loop); they exist for validation, diagnostics,
-and the EXPERIMENTS.md sanity tables.
+estimation into its adaptive loop); they exist for validation and
+diagnostics.
 """
 
 from __future__ import annotations

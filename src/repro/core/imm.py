@@ -19,7 +19,7 @@ cheaper than TIM+ at equal ε: no estimation-only samples are thrown away,
 and λ*'s constant (≈ 2) is a fraction of Equation 4's ``8 + 2ε``.
 
 The engine runs entirely through :class:`~repro.sketch.index.SketchIndex`
-(warm ``ensure_theta`` extension + incremental lazy-greedy ``select``), so
+(warm ``ensure_theta`` extension + incremental greedy ``select``), so
 it inherits the library's substrate invariants unchanged: byte-identical
 results for every worker count (``policy.jobs``), live-edge traces for
 :mod:`repro.dynamic` repair when ``policy.trace_edges`` is on, and

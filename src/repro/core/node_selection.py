@@ -19,7 +19,7 @@ from repro.api.policy import ExecutionPolicy
 from repro.obs import runtime as obs
 from repro.parallel import maybe_parallel
 from repro.rrset.base import RRSampler
-from repro.rrset.coverage import greedy_max_coverage, lazy_greedy_max_coverage
+from repro.rrset.coverage import greedy_max_coverage
 from repro.rrset.flat_collection import FlatRRCollection
 from repro.utils.rng import resolve_rng
 from repro.utils.validation import check_k, check_positive_int, require
@@ -48,7 +48,6 @@ def node_selection(
     theta: int,
     sampler: RRSampler,
     rng=None,
-    coverage: str = "exact",
     index=None,
     *,
     policy: ExecutionPolicy | None = None,
@@ -57,16 +56,13 @@ def node_selection(
 
     Parameters
     ----------
-    coverage:
-        ``"exact"`` (the paper's linear-time greedy) or ``"lazy"`` (the
-        CELF-style heap variant; same guarantee, benched in the ablation).
     index:
         Optional :class:`~repro.sketch.index.SketchIndex` to run *through*
         (build-or-reuse): its sketch is the collection — already-held RR
         sets are reused, only the shortfall to θ is sampled (appended via
         ``extend_flat``, warm-start style) — and selection runs on the
-        index's prebuilt inverted index.  Seeds are identical to the
-        ``coverage="exact"`` solver (same tie-breaking).
+        index's prebuilt inverted index.  Seeds are identical to
+        :func:`~repro.rrset.coverage.greedy_max_coverage` (same kernel).
     policy:
         :class:`~repro.api.policy.ExecutionPolicy` carrying the execution
         knobs.  ``policy.jobs`` shards the θ sampling across worker
@@ -77,17 +73,16 @@ def node_selection(
     """
     check_k(k, graph.n)
     check_positive_int(theta, "theta")
-    require(coverage in ("exact", "lazy"), f"coverage must be 'exact' or 'lazy'; got {coverage!r}")
     source = resolve_rng(rng)
     sampler, owned_pool = maybe_parallel(sampler, ExecutionPolicy.coerce(policy).jobs)
     try:
-        return _node_selection(graph, k, theta, sampler, source, coverage, index)
+        return _node_selection(graph, k, theta, sampler, source, index)
     finally:
         if owned_pool:
             sampler.close()
 
 
-def _node_selection(graph, k, theta, sampler, source, coverage, index):
+def _node_selection(graph, k, theta, sampler, source, index):
     if index is not None:
         missing = theta - len(index.collection)
         if missing > 0:
@@ -104,9 +99,8 @@ def _node_selection(graph, k, theta, sampler, source, coverage, index):
     collection = FlatRRCollection(graph.n, graph.m)
     with obs.trace("sampling.node_selection", missing=int(theta)):
         collection.extend_flat(sampler.sample_random_batch(theta, source))
-    solve = greedy_max_coverage if coverage == "exact" else lazy_greedy_max_coverage
     with obs.trace("selection.greedy", k=int(k), theta=int(theta)):
-        result = solve(collection, graph.n, k)
+        result = greedy_max_coverage(collection, graph.n, k)
     fraction = result.fraction
     return NodeSelectionResult(
         seeds=result.seeds,

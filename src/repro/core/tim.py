@@ -49,7 +49,6 @@ def tim(
     rng=None,
     refine: bool = False,
     epsilon_prime: float | None = None,
-    coverage: str = "exact",
     max_theta: int | None = None,
     *,
     policy: ExecutionPolicy | None = None,
@@ -76,8 +75,6 @@ def tim(
         Run Algorithm 3 between the phases — i.e. TIM+ (Section 4.1).
     epsilon_prime:
         Refinement accuracy; defaults to the paper's ``5·∛(ℓε²/(k+ℓ))``.
-    coverage:
-        Max-coverage implementation: ``"exact"`` or ``"lazy"``.
     max_theta:
         Optional hard cap on θ.  **Voids the approximation guarantee**; it
         exists so exploratory runs on tiny budgets cannot run away.  A
@@ -123,7 +120,7 @@ def tim(
     try:
         return _tim_run(
             graph, k, epsilon, ell, resolved_model, source, sampler, refine,
-            epsilon_prime, coverage, max_theta, index,
+            epsilon_prime, max_theta, index,
         )
     finally:
         if owned_pool:
@@ -132,7 +129,7 @@ def tim(
 
 def _tim_run(
     graph, k, epsilon, ell, resolved_model, source, sampler, refine,
-    epsilon_prime, coverage, max_theta, sketch_index,
+    epsilon_prime, max_theta, sketch_index,
 ):
     # Success-probability bookkeeping (Sections 3.3 / 4.1): the internal
     # ell absorbs the union bound over 2 (TIM) or 3 (TIM+) failure events.
@@ -208,8 +205,7 @@ def _tim_run(
     sketch_sets_reused = len(sketch_index.collection) if sketch_index is not None else 0
     with timer.phase("node_selection"):
         selection = node_selection(
-            graph, k, theta, sampler, rng=source, coverage=coverage,
-            index=sketch_index,
+            graph, k, theta, sampler, rng=source, index=sketch_index,
         )
     # Freshly sampled sets only; anything the sketch already held is reuse.
     rr_counts["node_selection"] = selection.num_rr_sets - sketch_sets_reused
@@ -251,7 +247,6 @@ def tim_plus(
     model="IC",
     rng=None,
     epsilon_prime: float | None = None,
-    coverage: str = "exact",
     max_theta: int | None = None,
     *,
     policy: ExecutionPolicy | None = None,
@@ -267,7 +262,6 @@ def tim_plus(
         rng=rng,
         refine=True,
         epsilon_prime=epsilon_prime,
-        coverage=coverage,
         max_theta=max_theta,
         policy=policy,
         index=index,

@@ -2,7 +2,7 @@
 
 The original crawls (NetHEPT … Twitter) are unavailable offline and far
 beyond pure-Python scale, so each is replaced by a generator preserving the
-structural properties the algorithms are sensitive to (DESIGN.md §3):
+structural properties the algorithms are sensitive to:
 
 * graph *type* (directed vs undirected),
 * Table 2's *average degree* (2m/n convention),

@@ -1,7 +1,6 @@
 """Experiment harness and per-figure reproductions of the paper's Section 7."""
 
 from repro.experiments.ablations import (
-    ablation_coverage,
     ablation_engine,
     ablation_ic_fast_path,
 )
@@ -33,13 +32,11 @@ EXPERIMENTS = {
     "fig12": figure12,
     "section5": section5_table,
     "ablation-sampler": ablation_ic_fast_path,
-    "ablation-coverage": ablation_coverage,
     "ablation-engine": ablation_engine,
 }
 
 __all__ = [
     "EXPERIMENTS",
-    "ablation_coverage",
     "ablation_engine",
     "ablation_ic_fast_path",
     "figure3",

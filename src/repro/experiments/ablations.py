@@ -1,10 +1,9 @@
-"""Ablations of this implementation's own design choices (DESIGN.md §4).
+"""Ablations of this implementation's own design choices.
 
 Not paper figures — these justify the two performance-relevant decisions we
 made on top of the paper's algorithms:
 
 * the Binomial fast path in the IC RR sampler (vs literal per-edge coins);
-* the exact linear-time max-coverage greedy (vs a CELF-style lazy heap);
 * the numpy-batched RR sampler (vs the scalar one-set-per-call sampler).
 
 Each ablation reports both wall-clock and an output-equivalence check, so a
@@ -18,11 +17,10 @@ from functools import lru_cache
 from repro.datasets.registry import build_dataset
 from repro.experiments.reporting import ExperimentResult
 from repro.obs import runtime as obs
-from repro.rrset.coverage import greedy_max_coverage, lazy_greedy_max_coverage
 from repro.rrset.ic_sampler import ICRRSampler
 from repro.utils.rng import RandomSource
 
-__all__ = ["ablation_ic_fast_path", "ablation_coverage", "ablation_engine"]
+__all__ = ["ablation_ic_fast_path", "ablation_engine"]
 
 
 @lru_cache(maxsize=8)
@@ -68,40 +66,6 @@ def ablation_ic_fast_path(
             widths[False],
             widths[True],
         )
-    return result
-
-
-def ablation_coverage(
-    dataset: str = "livejournal",
-    scale: float = 0.5,
-    num_sets: int = 50_000,
-    k_values: tuple[int, ...] = (1, 10, 50),
-    seed: int = 41,
-) -> ExperimentResult:
-    """Exact linear-time greedy vs lazy-heap greedy on one RR collection.
-
-    Coverage counts must match exactly (both are valid greedy executions;
-    ties can differ but achieved coverage at each step cannot, since both
-    always commit a true argmax).
-    """
-    graph = _ic_graph(dataset, scale)
-    collection = ICRRSampler(graph).sample_random_batch(num_sets, RandomSource(seed))
-
-    result = ExperimentResult(
-        name="ablation-coverage",
-        title=f"max-coverage greedy variants on {dataset} stand-in "
-        f"({num_sets} RR sets, scale={scale})",
-        headers=["k", "exact_s", "lazy_s", "exact_covered", "lazy_covered"],
-        notes=["covered counts must be equal: both variants are exact greedy"],
-    )
-    for k in k_values:
-        started = obs.now()
-        exact = greedy_max_coverage(collection, graph.n, k)
-        exact_elapsed = obs.now() - started
-        started = obs.now()
-        lazy = lazy_greedy_max_coverage(collection, graph.n, k)
-        lazy_elapsed = obs.now() - started
-        result.add_row(k, exact_elapsed, lazy_elapsed, exact.covered, lazy.covered)
     return result
 
 

@@ -1,7 +1,7 @@
 """Experiments versus the guaranteed baselines — Figures 3, 4 and 5.
 
 All on the NetHEPT stand-in, as in the paper's Section 7.2.  Scale and
-sample-count defaults are tuned for pure Python (DESIGN.md §3); the *shape*
+sample-count defaults are tuned for pure Python; the *shape*
 targets are:
 
 * Fig. 3 — TIM+ < TIM ≪ CELF++ and RIS, by orders of magnitude;

@@ -7,7 +7,7 @@ Two roles:
 * random social-network generators (preferential attachment, power-law
   configuration, Watts-Strogatz, planted partition, forest fire) used by
   :mod:`repro.datasets` to build scaled stand-ins for the paper's five
-  datasets (see DESIGN.md §3 for the substitution rationale).
+  datasets.
 
 All generators return unweighted graphs (``p = 1``); callers apply a scheme
 from :mod:`repro.graphs.weights` afterwards, mirroring how the paper fixes

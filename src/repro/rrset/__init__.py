@@ -11,7 +11,6 @@ from repro.rrset.coverage import (
     brute_force_max_coverage,
     coverage_of,
     greedy_max_coverage,
-    lazy_greedy_max_coverage,
 )
 from repro.rrset.flat_collection import FlatRRCollection
 from repro.rrset.ic_sampler import ICRRSampler
@@ -27,7 +26,6 @@ __all__ = [
     "brute_force_max_coverage",
     "coverage_of",
     "greedy_max_coverage",
-    "lazy_greedy_max_coverage",
     "ICRRSampler",
     "LTRRSampler",
     "TriggeringRRSampler",

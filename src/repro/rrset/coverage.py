@@ -1,32 +1,27 @@
 """Greedy maximum coverage over RR sets (Algorithm 1, lines 3–7).
 
 Given sampled RR sets, pick ``k`` nodes covering as many sets as possible.
-The standard greedy gives the ``(1 - 1/e)`` guarantee [29]; the solvers here
-all run on the *flat* CSR layout (``ptr``/``nodes`` arrays, see
+The standard greedy gives the ``(1 - 1/e)`` guarantee [29].  It runs on the
+*flat* CSR layout (``ptr``/``nodes`` arrays, see
 :mod:`repro.rrset.flat_collection`): per-node cover counts live in one int64
 array, the node → set membership map is a CSR inverted index, and each round
-is an ``argmax`` plus a vectorised count-decrement instead of the former
-``O(k·n)`` Python scans.
+is an ``argmax`` plus a vectorised count-decrement.
 
-* :func:`greedy_max_coverage` — the *linear-time exact* greedy the paper
-  cites: ``k`` rounds of true argmax over live cover counts.
-* :func:`lazy_greedy_max_coverage` — CELF-style lazy heap over the same
-  counts; identical seeds (including on ties — both orders resolve a tied
-  maximum toward the smaller node id), different constant factors.
-
-All solvers accept either a sequence of node tuples or a
+:func:`greedy_max_coverage` is the *linear-time exact* greedy the paper
+cites: ``k`` rounds of true argmax over live cover counts.  It accepts
+either a sequence of node tuples or a
 :class:`~repro.rrset.flat_collection.FlatRRCollection`; tuple input is
-flattened once up front.
+flattened once up front.  :class:`~repro.sketch.index.SketchIndex` runs the
+same resumable kernel over its persistent postings.
 
 Ties break toward the smaller node id so selections are deterministic.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
+from typing import Collection, Sequence
 
 import numpy as np
 
@@ -35,7 +30,6 @@ from repro.utils.validation import require
 __all__ = [
     "CoverageResult",
     "greedy_max_coverage",
-    "lazy_greedy_max_coverage",
     "brute_force_max_coverage",
     "coverage_of",
 ]
@@ -94,11 +88,11 @@ def _gather_members(ptr: np.ndarray, nodes: np.ndarray, set_ids: np.ndarray) -> 
     return nodes[np.repeat(ptr[set_ids], counts) + offsets]
 
 
-def _decrement(counts: np.ndarray, members: np.ndarray, num_nodes: int) -> None:
+def _decrement(counts: np.ndarray, members: np.ndarray) -> None:
     """``counts[v] -= multiplicity of v in members`` without a Python loop."""
     # bincount beats subtract.at once the member batch is non-trivial.
     if members.size > 64:
-        counts -= np.bincount(members, minlength=num_nodes)
+        counts -= np.bincount(members, minlength=counts.size)
     else:
         np.subtract.at(counts, members, 1)
 
@@ -119,6 +113,52 @@ def _inverted_index(
 # ----------------------------------------------------------------------
 # Solvers
 # ----------------------------------------------------------------------
+class _GreedyKernel:
+    """Resumable greedy max-coverage over ``(ptr, nodes, inv_ptr, inv_sets)``.
+
+    ``counts[v]`` is the number of still-uncovered sets containing ``v``.
+    Picked and excluded nodes hold a negative count, so ``np.argmax`` skips
+    them while an eligible node is left, and a tied maximum goes to the
+    smaller node id — which also fills zero-gain picks smallest id first.
+    """
+
+    __slots__ = ("ptr", "nodes", "inv_ptr", "inv_sets", "counts", "covered", "seeds", "gains")
+
+    def __init__(self, ptr: np.ndarray, nodes: np.ndarray, inv_ptr: np.ndarray,
+                 inv_sets: np.ndarray, exclude: Collection[int] = ()) -> None:
+        self.ptr = ptr
+        self.nodes = nodes
+        self.inv_ptr = inv_ptr
+        self.inv_sets = inv_sets
+        self.counts = np.diff(inv_ptr)
+        self.covered = np.zeros(ptr.size - 1, dtype=bool)
+        self.seeds: list[int] = []
+        self.gains: list[int] = []
+        if exclude:
+            self.counts[list(exclude)] = -1
+
+    def take(self, node: int) -> None:
+        """Pick ``node`` and retire the sets it covers."""
+        self.seeds.append(node)
+        self.gains.append(int(self.counts[node]))
+        candidate_sets = self.inv_sets[self.inv_ptr[node] : self.inv_ptr[node + 1]]
+        new_sets = candidate_sets[~self.covered[candidate_sets]]
+        if new_sets.size:
+            self.covered[new_sets] = True
+            _decrement(self.counts, _gather_members(self.ptr, self.nodes, new_sets))
+        self.counts[node] = -1
+
+    def extend_to(self, k: int) -> None:
+        """Argmax picks until ``k`` seeds are held."""
+        while len(self.seeds) < k:
+            self.take(int(np.argmax(self.counts)))
+
+    def result(self, k: int) -> CoverageResult:
+        """The first ``k`` picks (greedy is prefix-consistent)."""
+        gains = tuple(self.gains[:k])
+        return CoverageResult(self.seeds[:k], sum(gains), self.covered.size, gains)
+
+
 def greedy_max_coverage(rr_sets, num_nodes: int, k: int) -> CoverageResult:
     """Exact greedy: k rounds of true argmax over live cover counts.
 
@@ -129,77 +169,9 @@ def greedy_max_coverage(rr_sets, num_nodes: int, k: int) -> CoverageResult:
     require(k >= 1, "k must be >= 1")
     require(num_nodes >= k, "k cannot exceed the number of nodes")
     ptr, nodes = _as_flat_arrays(rr_sets)
-    num_sets = ptr.size - 1
-    counts = np.bincount(nodes, minlength=num_nodes).astype(np.int64)
-    inv_ptr, inv_sets = _inverted_index(ptr, nodes, num_nodes)
-
-    covered = np.zeros(num_sets, dtype=bool)
-    seeds: list[int] = []
-    gains: list[int] = []
-    total_covered = 0
-    for _ in range(k):
-        best = int(np.argmax(counts))
-        gain = int(counts[best])
-        seeds.append(best)
-        gains.append(gain)
-        total_covered += gain
-        candidate_sets = inv_sets[inv_ptr[best] : inv_ptr[best + 1]]
-        new_sets = candidate_sets[~covered[candidate_sets]]
-        if new_sets.size:
-            covered[new_sets] = True
-            _decrement(counts, _gather_members(ptr, nodes, new_sets), num_nodes)
-        counts[best] = -1  # exclude from future argmax rounds
-    return CoverageResult(seeds, total_covered, num_sets, tuple(gains))
-
-
-def lazy_greedy_max_coverage(rr_sets, num_nodes: int, k: int) -> CoverageResult:
-    """Lazy-heap greedy; identical seeds to the exact variant, lazier scans.
-
-    Heap entries are ``(-count, node)``; a popped entry whose count is stale
-    is re-pushed with the current count.  Because counts only decrease, a
-    fresh popped entry is a true argmax, and the ``(-count, node)`` order
-    resolves a tied maximum toward the smaller node id — the same
-    tie-breaking rule as :func:`greedy_max_coverage`'s argmax, so the two
-    produce identical seed lists even on ties.
-    """
-    require(k >= 1, "k must be >= 1")
-    require(num_nodes >= k, "k cannot exceed the number of nodes")
-    ptr, nodes = _as_flat_arrays(rr_sets)
-    num_sets = ptr.size - 1
-    counts = np.bincount(nodes, minlength=num_nodes).astype(np.int64)
-    inv_ptr, inv_sets = _inverted_index(ptr, nodes, num_nodes)
-
-    heap = [(-int(counts[node]), node) for node in range(num_nodes)]
-    heapq.heapify(heap)
-    covered = np.zeros(num_sets, dtype=bool)
-    seeds: list[int] = []
-    chosen = np.zeros(num_nodes, dtype=bool)
-    gains: list[int] = []
-    total_covered = 0
-    while len(seeds) < k and heap:
-        negative_count, node = heapq.heappop(heap)
-        if chosen[node]:
-            continue
-        current = int(counts[node])
-        if -negative_count != current:
-            heapq.heappush(heap, (-current, node))
-            continue
-        seeds.append(node)
-        chosen[node] = True
-        gains.append(current)
-        total_covered += current
-        candidate_sets = inv_sets[inv_ptr[node] : inv_ptr[node + 1]]
-        new_sets = candidate_sets[~covered[candidate_sets]]
-        if new_sets.size:
-            covered[new_sets] = True
-            _decrement(counts, _gather_members(ptr, nodes, new_sets), num_nodes)
-    if len(seeds) < k:
-        # Degenerate inputs (heap exhausted early): one vectorised pass picks
-        # the smallest-id unchosen nodes, replacing the old O(n·k) refill loop.
-        fill = np.flatnonzero(~chosen)[: k - len(seeds)]
-        seeds.extend(int(v) for v in fill)
-        gains.extend(0 for _ in range(len(fill)))
-    return CoverageResult(seeds, total_covered, num_sets, tuple(gains))
+    kernel = _GreedyKernel(ptr, nodes, *_inverted_index(ptr, nodes, num_nodes))
+    kernel.extend_to(k)
+    return kernel.result(k)
 
 
 def brute_force_max_coverage(

@@ -4,7 +4,7 @@ The scalar sampler is the paper's randomized reverse BFS: starting at the
 root, for each in-edge of a dequeued node flip a coin with the edge's
 probability and enqueue the (unvisited) source on success.
 
-Fast path (DESIGN.md §4): when *all* in-edges of a node share one
+Fast path: when *all* in-edges of a node share one
 probability ``p`` — always true under the weighted-cascade convention,
 where ``p = 1/indeg`` — the number of successful flips among ``d`` edges is
 ``Binomial(d, p)`` and the successful subset is uniform given its size.

@@ -10,7 +10,7 @@ subsystem:
   roundtrips, optional ``mmap`` loading so processes share pages, graph
   fingerprint validation),
 * :mod:`repro.sketch.index` — :class:`SketchIndex`, the reusable oracle:
-  prebuilt inverted index, incremental lazy-greedy ``select(k)``,
+  prebuilt inverted index, incremental greedy ``select(k)``,
   ``spread`` / ``marginal_gain`` / forced-seed queries, warm-start theta
   extension,
 * :mod:`repro.sketch.service` — :class:`InfluenceService`, an LRU of

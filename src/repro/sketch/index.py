@@ -4,18 +4,15 @@ TIM's structural insight (and Borgs et al.'s framing of RR sketches as an
 oracle) is that a collection of random RR sets is *query-independent of k*:
 one sketch answers seed selection for every budget, spread estimation for
 any seed set, and marginal-gain probes — all without resampling.  The index
-wraps a :class:`~repro.rrset.flat_collection.FlatRRCollection` with the two
-prebuilt structures every query needs:
-
-* per-node cover counts (one ``bincount`` over the packed member array),
-* a CSR **inverted index** ``node → ids of the RR sets containing it``,
-
-and keeps an *incremental* lazy-greedy selection state: ``select(5)`` then
-``select(25)`` continues from the fifth pick instead of restarting, so a
-service answering ascending-k queries pays each greedy round once.  Seed
-output is bit-identical to :func:`repro.rrset.coverage.greedy_max_coverage`
-(both resolve tied maxima toward the smaller node id), which is what
-:func:`repro.core.node_selection.node_selection` runs — so routing
+wraps a :class:`~repro.rrset.flat_collection.FlatRRCollection` with the
+prebuilt structure every query needs, a CSR **inverted index**
+``node → ids of the RR sets containing it`` (a node's cover count is the
+length of its list), and keeps an *incremental* greedy selection state:
+``select(5)`` then ``select(25)`` continues from the fifth pick instead of
+restarting, so a service answering ascending-k queries pays each greedy
+round once.  The state is the same argmax kernel that
+:func:`repro.rrset.coverage.greedy_max_coverage` runs, which is what
+:func:`repro.core.node_selection.node_selection` calls — so routing
 ``tim``/``tim_plus`` through an index changes wall-clock, never seeds.
 
 Warm-start theta extension: when a query demands a tighter ε than the sketch
@@ -26,9 +23,8 @@ derived structures; :meth:`save` then persists the grown sketch.
 
 from __future__ import annotations
 
-import heapq
 import os
-from typing import Any, Iterable, cast
+from typing import Any, Collection, Iterable, cast
 
 import numpy as np
 
@@ -40,33 +36,12 @@ from repro.core.parameters import adjusted_ell_tim, lambda_param, theta_from_kpt
 from repro.diffusion.base import resolve_model
 from repro.parallel import ParallelSampler, maybe_parallel
 from repro.rrset.base import make_rr_sampler
-from repro.rrset.coverage import (
-    CoverageResult,
-    _decrement,
-    _gather_members,
-    _inverted_index,
-)
+from repro.rrset.coverage import CoverageResult, _GreedyKernel, _inverted_index
 from repro.rrset.flat_collection import FlatRRCollection
 from repro.utils.rng import resolve_rng
 from repro.utils.validation import check_k, require
 
 __all__ = ["SketchIndex"]
-
-
-class _GreedyState:
-    """Resumable lazy-greedy max-coverage state (one instance per index)."""
-
-    __slots__ = ("counts", "covered", "heap", "chosen", "seeds", "gains", "covered_total")
-
-    def __init__(self, counts: np.ndarray[Any, Any], num_sets: int) -> None:
-        self.counts = counts
-        self.covered = np.zeros(num_sets, dtype=bool)
-        self.heap = [(-int(counts[node]), node) for node in range(counts.size)]
-        heapq.heapify(self.heap)
-        self.chosen = np.zeros(counts.size, dtype=bool)
-        self.seeds: list[int] = []
-        self.gains: list[int] = []
-        self.covered_total = 0
 
 
 class SketchIndex:
@@ -123,7 +98,7 @@ class SketchIndex:
         self._jobs = jobs
         self._inv_ptr: np.ndarray[Any, Any] | None = None
         self._inv_sets: np.ndarray[Any, Any] | None = None
-        self._state: _GreedyState | None = None
+        self._kernel: _GreedyKernel | None = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -276,7 +251,7 @@ class SketchIndex:
         """Drop postings and selection state (call after the sketch grows)."""
         self._inv_ptr = None
         self._inv_sets = None
-        self._state = None
+        self._kernel = None
 
     # ------------------------------------------------------------------
     # Growth (warm-start theta extension)
@@ -466,26 +441,25 @@ class SketchIndex:
     # Queries
     # ------------------------------------------------------------------
     def select(self, k: int, forced_include: Iterable[int] = (),
-               forced_exclude: Iterable[int] = (),
-               incremental: bool = True) -> CoverageResult:
+               forced_exclude: Iterable[int] = ()) -> CoverageResult:
         """Greedy max-coverage seed selection over the sketch, for any ``k``.
 
         Matches :func:`repro.rrset.coverage.greedy_max_coverage` seed-for-seed
-        (ties resolve toward the smaller node id).  With ``incremental=True``
-        (default, and only valid without constraints) the lazy-greedy state
-        persists across calls, so ascending-k queries extend the previous
-        answer instead of recomputing it.
+        (ties resolve toward the smaller node id).  Without constraints the
+        greedy state persists across calls, so ascending-k queries extend
+        the previous answer instead of recomputing it.
 
         ``forced_include`` seeds are taken first (in the given order) and
-        count toward ``k``; ``forced_exclude`` nodes are never selected.
+        count toward ``k``; ``forced_exclude`` nodes are never selected.  A
+        constrained select runs a fresh greedy and leaves the shared state
+        alone.
         """
         with obs.trace("sketch.select", k=int(k)):
             faults.checkpoint("sketch.select")
-            return self._select(k, forced_include, forced_exclude, incremental)
+            return self._select(k, forced_include, forced_exclude)
 
     def _select(self, k: int, forced_include: Iterable[int],
-                forced_exclude: Iterable[int],
-                incremental: bool) -> CoverageResult:
+                forced_exclude: Iterable[int]) -> CoverageResult:
         check_k(k, self.num_nodes)
         include = [int(v) for v in forced_include]
         exclude = {int(v) for v in forced_exclude}
@@ -500,129 +474,41 @@ class SketchIndex:
             require(len(include) <= k, "forced_include larger than k")
             require(self.num_nodes - len(exclude) >= k,
                     "exclusions leave fewer than k eligible nodes")
-            return self._select_constrained(k, include, exclude)
-        if not incremental:
-            return self._run_greedy(k, _GreedyState(self._fresh_counts(), self.num_sets))
-        if self._state is None:
-            self._state = _GreedyState(self._fresh_counts(), self.num_sets)
-        state = self._state
-        if len(state.seeds) >= k:
-            return CoverageResult(
-                state.seeds[:k],
-                int(sum(state.gains[:k])),
-                self.num_sets,
-                tuple(state.gains[:k]),
-            )
-        return self._run_greedy(k, state)
+            kernel = self._new_kernel(exclude)
+            for node in include:
+                kernel.take(node)
+        else:
+            if self._kernel is None:
+                self._kernel = self._new_kernel()
+            kernel = self._kernel
+        if len(kernel.seeds) < k:
+            with obs.trace("selection.greedy", k=int(k)):
+                kernel.extend_to(k)
+        return kernel.result(k)
 
-    def _fresh_counts(self) -> np.ndarray[Any, Any]:
-        self._ensure_postings()
-        return self.collection.node_frequency_array().astype(np.int64, copy=True)
-
-    def _run_greedy(self, k: int, state: _GreedyState) -> CoverageResult:
-        """Advance ``state`` until it holds ``k`` seeds; return the answer."""
-        with obs.trace("selection.greedy", k=int(k)):
-            return self._run_greedy_inner(k, state)
-
-    def _run_greedy_inner(self, k: int, state: _GreedyState) -> CoverageResult:
+    def _new_kernel(self, exclude: Collection[int] = ()) -> _GreedyKernel:
         inv_ptr, inv_sets = self._ensure_postings()
-        ptr = self.collection.ptr_array
-        nodes = self.collection.nodes_array
-        counts, covered, heap, chosen = state.counts, state.covered, state.heap, state.chosen
-        while len(state.seeds) < k and heap:
-            negative_count, node = heapq.heappop(heap)
-            if chosen[node]:
-                continue
-            current = int(counts[node])
-            if -negative_count != current:
-                heapq.heappush(heap, (-current, node))
-                continue
-            state.seeds.append(node)
-            chosen[node] = True
-            state.gains.append(current)
-            state.covered_total += current
-            candidate_sets = inv_sets[inv_ptr[node] : inv_ptr[node + 1]]
-            new_sets = candidate_sets[~covered[candidate_sets]]
-            if new_sets.size:
-                covered[new_sets] = True
-                _decrement(counts, _gather_members(ptr, nodes, new_sets), self.num_nodes)
-        if len(state.seeds) < k:
-            fill = np.flatnonzero(~chosen)[: k - len(state.seeds)]
-            for v in fill:
-                state.seeds.append(int(v))
-                state.gains.append(0)
-                chosen[v] = True
-        return CoverageResult(
-            list(state.seeds), state.covered_total, self.num_sets, tuple(state.gains)
-        )
+        return _GreedyKernel(self.collection.ptr_array, self.collection.nodes_array,
+                             inv_ptr, inv_sets, exclude)
 
-    def _select_constrained(self, k: int, include: list[int], exclude: set[int]) -> CoverageResult:
-        """One-shot greedy honouring forced include/exclude constraints."""
-        inv_ptr, inv_sets = self._ensure_postings()
-        ptr = self.collection.ptr_array
-        nodes = self.collection.nodes_array
-        counts = self._fresh_counts()
-        covered = np.zeros(self.num_sets, dtype=bool)
-        chosen = np.zeros(self.num_nodes, dtype=bool)
-        seeds: list[int] = []
-        gains: list[int] = []
-        total = 0
-
-        def take(node: int) -> None:
-            nonlocal total
-            gain = int(counts[node])
-            seeds.append(node)
-            gains.append(gain)
-            total += gain
-            chosen[node] = True
-            candidate_sets = inv_sets[inv_ptr[node] : inv_ptr[node + 1]]
-            new_sets = candidate_sets[~covered[candidate_sets]]
-            if new_sets.size:
-                covered[new_sets] = True
-                _decrement(counts, _gather_members(ptr, nodes, new_sets), self.num_nodes)
-
-        for node in include:
-            take(node)
-        if exclude:
-            chosen[list(exclude)] = True  # never eligible
-        heap = [
-            (-int(counts[node]), node)
-            for node in range(self.num_nodes)
-            if not chosen[node]
-        ]
-        heapq.heapify(heap)
-        while len(seeds) < k and heap:
-            negative_count, node = heapq.heappop(heap)
-            if chosen[node]:
-                continue
-            current = int(counts[node])
-            if -negative_count != current:
-                heapq.heappush(heap, (-current, node))
-                continue
-            take(node)
-        if len(seeds) < k:
-            eligible = ~chosen
-            fill = np.flatnonzero(eligible)[: k - len(seeds)]
-            for v in fill:
-                seeds.append(int(v))
-                gains.append(0)
-        return CoverageResult(seeds, total, self.num_sets, tuple(gains))
-
-    def coverage_count(self, seeds: Iterable[int]) -> int:
-        """Number of RR sets covered by ``seeds`` (postings-list union)."""
+    def _covered_mask(self, seeds: Iterable[int]) -> np.ndarray[Any, Any]:
+        """Which RR sets ``seeds`` cover (postings-list union); checks every id."""
         inv_ptr, inv_sets = self._ensure_postings()
         mask = np.zeros(self.num_sets, dtype=bool)
         for v in seeds:
             v = int(v)
             require(0 <= v < self.num_nodes, f"seed {v} out of range")
             mask[inv_sets[inv_ptr[v] : inv_ptr[v + 1]]] = True
-        return int(np.count_nonzero(mask))
+        return mask
+
+    def coverage_count(self, seeds: Iterable[int]) -> int:
+        """Number of RR sets covered by ``seeds`` (postings-list union)."""
+        return int(np.count_nonzero(self._covered_mask(seeds)))
 
     def coverage_fraction(self, seeds: Iterable[int]) -> float:
         """``F_R(S)`` over the sketch."""
-        if self.num_sets == 0:
-            return 0.0
-        return self.coverage_count(seeds) / self.num_sets
+        covered = self.coverage_count(seeds)
+        return covered / self.num_sets if self.num_sets else 0.0
 
     def spread(self, seeds: Iterable[int]) -> float:
         """``n · F_R(S)`` — the Corollary 1 spread estimate, no resampling."""
@@ -630,19 +516,13 @@ class SketchIndex:
 
     def marginal_gain(self, seeds: Iterable[int], candidate: int) -> float:
         """Estimated spread increase from adding ``candidate`` to ``seeds``."""
-        inv_ptr, inv_sets = self._ensure_postings()
         candidate = int(candidate)
         require(0 <= candidate < self.num_nodes, f"candidate {candidate} out of range")
-        if self.num_sets == 0:
-            return 0.0
-        mask = np.zeros(self.num_sets, dtype=bool)
-        for v in seeds:
-            v = int(v)
-            require(0 <= v < self.num_nodes, f"seed {v} out of range")
-            mask[inv_sets[inv_ptr[v] : inv_ptr[v + 1]]] = True
+        mask = self._covered_mask(seeds)
+        inv_ptr, inv_sets = self._ensure_postings()
         postings = inv_sets[inv_ptr[candidate] : inv_ptr[candidate + 1]]
         gain = int(np.count_nonzero(~mask[postings]))
-        return self.num_nodes * gain / self.num_sets
+        return self.num_nodes * gain / self.num_sets if self.num_sets else 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

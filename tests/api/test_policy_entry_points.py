@@ -32,16 +32,17 @@ ENTRY_POINTS = {
 REMOVED_KEYWORDS = [
     (entry, keyword)
     for entry, keywords in {
-        "tim": ("engine", "sketch_index", "jobs"),
-        "tim_plus": ("engine", "sketch_index", "jobs"),
+        "tim": ("engine", "sketch_index", "jobs", "coverage"),
+        "tim_plus": ("engine", "sketch_index", "jobs", "coverage"),
         "ris": ("engine", "sketch_index", "jobs"),
-        "node_selection": ("engine", "collection", "jobs"),
+        "node_selection": ("engine", "collection", "jobs", "coverage"),
         "estimate_kpt": ("engine", "jobs"),
         "refine_kpt": ("engine", "jobs"),
     }.items()
     for keyword in keywords
 ]
-LEGACY_VALUES = {"engine": "vectorized", "jobs": 1, "sketch_index": None, "collection": None}
+LEGACY_VALUES = {"engine": "vectorized", "jobs": 1, "sketch_index": None, "collection": None,
+                 "coverage": "lazy"}
 
 
 @pytest.fixture(scope="module")
@@ -172,6 +173,11 @@ class TestRemovedCallShapes:
     def test_sketch_build_rejects_engine(self, wc_graph):
         with pytest.raises(TypeError, match="unexpected keyword argument 'engine'"):
             SketchIndex.build(wc_graph, "IC", theta=100, rng=1, engine="vectorized")
+
+    def test_sketch_select_rejects_incremental(self, wc_graph):
+        index = SketchIndex.build(wc_graph, "IC", theta=100, rng=1)
+        with pytest.raises(TypeError, match="unexpected keyword argument 'incremental'"):
+            index.select(2, incremental=False)
 
     def test_service_rejects_engine(self):
         with pytest.raises(TypeError, match="unexpected keyword argument 'engine'"):

@@ -267,11 +267,11 @@ class TestBuildThroughIndex:
         index = SketchIndex.build(small_wc_graph, "IC", k=3, epsilon=0.5,
                                   algorithm="imm", rng=64)
         try:
-            seeds = index.select(3, incremental=False).seeds
+            seeds = index.select(3).seeds
             index.save(path)
         finally:
             index.close()
         reloaded = SketchIndex.load(path, graph=small_wc_graph)
         assert reloaded.meta["algorithm"] == "imm"
         assert reloaded.meta["epsilon"] == 0.5
-        assert reloaded.select(3, incremental=False).seeds == seeds
+        assert reloaded.select(3).seeds == seeds

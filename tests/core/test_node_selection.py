@@ -40,14 +40,6 @@ class TestSelection:
         b = node_selection(small_wc_graph, 3, theta=300, sampler=sampler, rng=5)
         assert a.seeds == b.seeds
 
-    def test_lazy_coverage_matches_exact_quality(self, small_wc_graph):
-        sampler = make_rr_sampler(small_wc_graph, "IC")
-        exact = node_selection(small_wc_graph, 5, theta=400, sampler=sampler, rng=6)
-        lazy = node_selection(
-            small_wc_graph, 5, theta=400, sampler=sampler, rng=6, coverage="lazy"
-        )
-        assert lazy.coverage_fraction == pytest.approx(exact.coverage_fraction)
-
     def test_prefilled_index_reused(self, small_wc_graph):
         sampler = make_rr_sampler(small_wc_graph, "IC")
         index = SketchIndex.build(small_wc_graph, "IC", theta=50, rng=7)
@@ -89,8 +81,3 @@ class TestValidation:
         sampler = make_rr_sampler(small_wc_graph, "IC")
         with pytest.raises(ValueError):
             node_selection(small_wc_graph, 3, theta=0, sampler=sampler)
-
-    def test_rejects_bad_coverage_mode(self, small_wc_graph):
-        sampler = make_rr_sampler(small_wc_graph, "IC")
-        with pytest.raises(ValueError, match="coverage"):
-            node_selection(small_wc_graph, 3, theta=10, sampler=sampler, coverage="magic")

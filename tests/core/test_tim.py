@@ -101,10 +101,6 @@ class TestSolutionQuality:
         assert result.theta_capped is False
         assert result.extras["theta_capped"] is False
 
-    def test_lazy_coverage_variant(self, small_wc_graph):
-        result = tim_plus(small_wc_graph, 3, epsilon=0.5, rng=15, coverage="lazy")
-        assert len(result.seeds) == 3
-
     @pytest.mark.parametrize("run", [
         lambda g: tim_plus(g, 2, epsilon=0.5, rng=16),
         lambda g: tim(g, 2, epsilon=0.5, rng=16, refine=True),

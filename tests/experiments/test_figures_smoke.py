@@ -8,7 +8,6 @@ the cheap invariants (counts, orderings that are deterministic).
 import pytest
 
 from repro.experiments import (
-    ablation_coverage,
     ablation_ic_fast_path,
     figure3,
     figure4,
@@ -129,8 +128,3 @@ class TestAblations:
         row = result.rows[0]
         mean_slow, mean_fast = row[4], row[5]
         assert mean_fast == pytest.approx(mean_slow, rel=0.25)
-
-    def test_coverage_ablation_equality(self):
-        result = ablation_coverage(dataset="nethept", scale=0.05, num_sets=2000, k_values=(1, 3))
-        for row in result.rows:
-            assert row[3] == row[4]  # exact_covered == lazy_covered

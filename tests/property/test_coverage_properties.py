@@ -7,8 +7,8 @@ from repro.rrset import (
     brute_force_max_coverage,
     coverage_of,
     greedy_max_coverage,
-    lazy_greedy_max_coverage,
 )
+from tests.rrset.greedy_oracle import reference_greedy
 
 
 @st.composite
@@ -53,11 +53,13 @@ class TestGreedyCoverageProperties:
 
     @given(coverage_instances())
     @settings(max_examples=80, deadline=None)
-    def test_lazy_matches_exact_coverage(self, instance):
+    def test_matches_oracle(self, instance):
         n, sets, k = instance
-        exact = greedy_max_coverage(sets, n, k)
-        lazy = lazy_greedy_max_coverage(sets, n, k)
-        assert exact.covered == lazy.covered
+        result = greedy_max_coverage(sets, n, k)
+        expected = reference_greedy(sets, n, k)
+        assert result.seeds == expected.seeds
+        assert result.covered == expected.covered
+        assert result.marginal_gains == expected.marginal_gains
 
     @given(coverage_instances(max_nodes=6, max_sets=12))
     @settings(max_examples=40, deadline=None)

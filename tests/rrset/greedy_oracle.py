@@ -9,8 +9,12 @@ code that shares none of their array machinery.
 from repro.rrset.coverage import CoverageResult
 
 
-def reference_greedy(rr_sets, num_nodes, k):
-    """``k`` rounds of a true argmax over live cover counts, in plain Python."""
+def reference_greedy(rr_sets, num_nodes, k, include=(), exclude=()):
+    """``k`` rounds of a true argmax over live cover counts, in plain Python.
+
+    ``include`` nodes are taken first, in the given order, and count toward
+    ``k``; ``exclude`` nodes are never taken.
+    """
     counts = [0] * num_nodes
     sets_of = [[] for _ in range(num_nodes)]
     for index, rr in enumerate(rr_sets):
@@ -19,14 +23,19 @@ def reference_greedy(rr_sets, num_nodes, k):
             sets_of[node].append(index)
     covered = [False] * len(rr_sets)
     seeds, gains = [], []
-    for _ in range(k):
-        best = max((v for v in range(num_nodes) if v not in seeds),
-                   key=lambda v: (counts[v], -v))
-        seeds.append(best)
-        gains.append(counts[best])
-        for index in sets_of[best]:
+
+    def take(node):
+        seeds.append(node)
+        gains.append(counts[node])
+        for index in sets_of[node]:
             if not covered[index]:
                 covered[index] = True
                 for member in rr_sets[index]:
                     counts[member] -= 1
+
+    for node in include:
+        take(node)
+    while len(seeds) < k:
+        take(max((v for v in range(num_nodes) if v not in seeds and v not in exclude),
+                 key=lambda v: (counts[v], -v)))
     return CoverageResult(seeds, sum(gains), len(rr_sets), tuple(gains))

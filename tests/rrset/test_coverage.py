@@ -6,7 +6,6 @@ from repro.rrset import (
     brute_force_max_coverage,
     coverage_of,
     greedy_max_coverage,
-    lazy_greedy_max_coverage,
 )
 from tests.rrset.greedy_oracle import reference_greedy
 
@@ -66,50 +65,19 @@ class TestExactGreedy:
             greedy_max_coverage(SIMPLE_SETS, 2, 3)
 
 
-class TestLazyGreedy:
-    def test_same_coverage_as_exact(self):
-        for k in (1, 2, 3):
-            exact = greedy_max_coverage(SIMPLE_SETS, 4, k)
-            lazy = lazy_greedy_max_coverage(SIMPLE_SETS, 4, k)
-            assert lazy.covered == exact.covered
-
-    def test_randomised_instances_agree(self):
-        import random
-
-        rng = random.Random(99)
-        for trial in range(20):
-            num_nodes = rng.randint(4, 12)
-            sets = [
-                tuple(rng.sample(range(num_nodes), rng.randint(1, min(4, num_nodes))))
-                for _ in range(rng.randint(1, 30))
-            ]
-            k = rng.randint(1, num_nodes)
-            exact = greedy_max_coverage(sets, num_nodes, k)
-            lazy = lazy_greedy_max_coverage(sets, num_nodes, k)
-            assert exact.covered == lazy.covered, f"trial {trial}"
-
-    def test_pads_with_arbitrary_nodes_when_needed(self):
-        result = lazy_greedy_max_coverage([(0,)], 3, 3)
-        assert len(result.seeds) == 3
-        assert len(set(result.seeds)) == 3
-
-
-class TestTieBreakAlignment:
-    """Exact and lazy must return *identical seeds* even on ties."""
+class TestTieBreak:
+    """A tied maximum goes to the smaller node id, exactly as in the oracle."""
 
     def test_all_tied_singletons(self):
         sets = [(0,), (1,), (2,), (3,)]  # every node covers exactly one set
         for k in (1, 2, 4):
-            exact = greedy_max_coverage(sets, 4, k)
-            lazy = lazy_greedy_max_coverage(sets, 4, k)
-            assert exact.seeds == lazy.seeds == list(range(k))
+            result = greedy_max_coverage(sets, 4, k)
+            assert result.seeds == reference_greedy(sets, 4, k).seeds == list(range(k))
 
     def test_duplicated_sets_force_ties(self):
         sets = [(2, 3)] * 5 + [(0, 1)] * 5 + [(4,)] * 2
         for k in (1, 2, 3):
-            exact = greedy_max_coverage(sets, 5, k)
-            lazy = lazy_greedy_max_coverage(sets, 5, k)
-            assert exact.seeds == lazy.seeds
+            assert greedy_max_coverage(sets, 5, k).seeds == reference_greedy(sets, 5, k).seeds
         # Tied top gain (0,1) vs (2,3): smaller node id wins.
         assert greedy_max_coverage(sets, 5, 1).seeds == [0]
 
@@ -126,24 +94,26 @@ class TestTieBreakAlignment:
             ]
             sets = [rng.choice(pool) for _ in range(rng.randint(2, 24))]
             k = rng.randint(1, num_nodes)
-            exact = greedy_max_coverage(sets, num_nodes, k)
-            lazy = lazy_greedy_max_coverage(sets, num_nodes, k)
-            assert exact.seeds == lazy.seeds, f"trial {trial}: {sets}"
-            assert exact.marginal_gains == lazy.marginal_gains
+            result = greedy_max_coverage(sets, num_nodes, k)
+            expected = reference_greedy(sets, num_nodes, k)
+            assert result.seeds == expected.seeds, f"trial {trial}: {sets}"
+            assert result.marginal_gains == expected.marginal_gains
 
     def test_degenerate_fill_smallest_ids_first(self):
         # Only node 0 ever covers anything; the rest is zero-gain padding,
-        # which both variants must fill with the smallest unchosen ids.
-        exact = greedy_max_coverage([(0,)], 5, 4)
-        lazy = lazy_greedy_max_coverage([(0,)], 5, 4)
-        assert exact.seeds == lazy.seeds == [0, 1, 2, 3]
+        # filled with the smallest unchosen ids.
+        for num_nodes, k in ((5, 4), (3, 3)):
+            result = greedy_max_coverage([(0,)], num_nodes, k)
+            assert result.seeds == reference_greedy([(0,)], num_nodes, k).seeds
+            assert result.seeds == list(range(k))
+            assert result.marginal_gains == (1,) + (0,) * (k - 1)
 
 
 class TestNumpyPythonParity:
     """The vectorised exact greedy must match the pure-Python oracle."""
 
     def test_simple_sets(self):
-        for k in (1, 2, 4):
+        for k in (1, 2, 3, 4):
             vec = greedy_max_coverage(SIMPLE_SETS, 4, k)
             ref = reference_greedy(SIMPLE_SETS, 4, k)
             assert vec.seeds == ref.seeds
@@ -173,11 +143,10 @@ class TestNumpyPythonParity:
         flat = FlatRRCollection(4, 10)
         for i, rr in enumerate(SIMPLE_SETS):
             flat.append(RRSet(root=rr[0], nodes=rr, width=i, cost=len(rr) + i))
-        for solver in (greedy_max_coverage, lazy_greedy_max_coverage):
-            from_flat = solver(flat, 4, 2)
-            from_tuples = solver(SIMPLE_SETS, 4, 2)
-            assert from_flat.seeds == from_tuples.seeds
-            assert from_flat.covered == from_tuples.covered
+        from_flat = greedy_max_coverage(flat, 4, 2)
+        from_tuples = greedy_max_coverage(SIMPLE_SETS, 4, 2)
+        assert from_flat.seeds == from_tuples.seeds == reference_greedy(SIMPLE_SETS, 4, 2).seeds
+        assert from_flat.covered == from_tuples.covered
 
 
 class TestApproximationGuarantee:

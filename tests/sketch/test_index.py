@@ -7,6 +7,7 @@ from repro.core.tim import tim
 from repro.graphs import gnm_random_digraph, weighted_cascade
 from repro.rrset.coverage import greedy_max_coverage
 from repro.sketch import SketchGraphMismatchError, SketchIndex
+from tests.rrset.greedy_oracle import reference_greedy
 
 
 @pytest.fixture
@@ -23,7 +24,7 @@ class TestSelection:
     @pytest.mark.parametrize("k", [1, 2, 5, 10, 25])
     def test_matches_exact_greedy(self, index, wc_graph, k):
         expected = greedy_max_coverage(index.collection, wc_graph.n, k)
-        result = index.select(k, incremental=False)
+        result = index.select(k)
         assert result.seeds == expected.seeds
         assert result.covered == expected.covered
         assert result.marginal_gains == expected.marginal_gains
@@ -33,7 +34,7 @@ class TestSelection:
         index = SketchIndex.build(wc_graph, "IC", theta=900, rng=5)
         for k in (1, 3, 8, 15):
             expected = greedy_max_coverage(index.collection, wc_graph.n, k)
-            assert index.select(k, incremental=False).seeds == expected.seeds
+            assert index.select(k).seeds == expected.seeds
 
     def test_incremental_extends_previous_answer(self, index, wc_graph):
         first = index.select(4)
@@ -53,7 +54,7 @@ class TestSelection:
         assert len(result.seeds) == 5
 
     def test_forced_exclude_never_selected(self, index):
-        unconstrained = index.select(5, incremental=False)
+        unconstrained = index.select(5)
         banned = unconstrained.seeds[0]
         result = index.select(5, forced_exclude=[banned])
         assert banned not in result.seeds
@@ -69,9 +70,45 @@ class TestSelection:
     def test_degenerate_fill(self, wc_graph):
         """k larger than the number of useful nodes still yields k seeds."""
         index = SketchIndex.build(wc_graph, "IC", theta=3, rng=0)
-        result = index.select(50, incremental=False)
+        result = index.select(50)
         assert len(result.seeds) == 50
         assert len(set(result.seeds)) == 50
+
+
+class TestConstrainedSelection:
+    """A constrained select equals the pure-Python oracle, pick for pick."""
+
+    @staticmethod
+    def assert_matches_oracle(index, k, include, exclude):
+        result = index.select(k, forced_include=include, forced_exclude=exclude)
+        expected = reference_greedy(index.collection.sets, index.num_nodes, k,
+                                    include=include, exclude=exclude)
+        assert result.seeds == expected.seeds
+        assert result.covered == expected.covered
+        assert result.marginal_gains == expected.marginal_gains
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 12, 30])
+    def test_matches_oracle(self, index, k):
+        top = greedy_max_coverage(index.collection, index.num_nodes, 6).seeds
+        include = [42, 7][:k]
+        # Excluding the strongest nodes moves every later pick.
+        exclude = [v for v in top if v not in include][:3]
+        self.assert_matches_oracle(index, k, include, exclude)
+        self.assert_matches_oracle(index, k, [], exclude)
+        self.assert_matches_oracle(index, k, include, [])
+        # A constrained select leaves the shared greedy state alone.
+        assert index.select(k).seeds == greedy_max_coverage(
+            index.collection, index.num_nodes, k).seeds
+
+    @pytest.mark.parametrize("k", [4, 20, 50])
+    def test_zero_gain_fill_skips_exclusions(self, wc_graph, k):
+        """With three sets most picks gain nothing; the fill must still go to
+        the smallest eligible ids and step over the excluded ones."""
+        index = SketchIndex.build(wc_graph, "IC", theta=3, rng=0)
+        top = greedy_max_coverage(index.collection, index.num_nodes, 1).seeds
+        exclude = sorted({0, 1, 3, *top} - {2})
+        self.assert_matches_oracle(index, k, [2], exclude)
+        self.assert_matches_oracle(index, k, [], exclude)
 
 
 class TestEstimators:
@@ -96,6 +133,19 @@ class TestEstimators:
         with pytest.raises(ValueError):
             index.marginal_gain([0], 10_000)
 
+    @pytest.mark.parametrize("query", [
+        lambda index: index.spread([10**6]),
+        lambda index: index.coverage_fraction([-3]),
+        lambda index: index.coverage_count([10**6]),
+        lambda index: index.marginal_gain([10**6], 3),
+        lambda index: index.marginal_gain([3], 10**6),
+    ], ids=["spread", "coverage_fraction", "coverage_count",
+            "marginal_gain_seed", "marginal_gain_candidate"])
+    def test_out_of_range_rejected_on_empty_sketch(self, wc_graph, query):
+        """Regression: an empty sketch answered 0.0 instead of checking ids."""
+        with pytest.raises(ValueError, match="out of range"):
+            query(SketchIndex(graph=wc_graph))
+
 
 class TestWarmExtension:
     def test_ensure_theta_appends_only_shortfall(self, index):
@@ -117,7 +167,7 @@ class TestWarmExtension:
         index.save(path)
         reloaded = SketchIndex.load(path, graph=wc_graph)
         assert reloaded.num_sets == index.num_sets
-        assert reloaded.select(4, incremental=False).seeds == index.select(4, incremental=False).seeds
+        assert reloaded.select(4).seeds == index.select(4).seeds
 
     def test_ensure_epsilon_grows_for_tighter_epsilon(self, wc_graph):
         index = SketchIndex.build(wc_graph, "IC", k=5, epsilon=0.8, rng=11)
@@ -190,7 +240,7 @@ class TestPersistedIndex:
         path = tmp_path / "sketch.npz"
         index.save(path)
         readonly = SketchIndex.load(path)
-        assert readonly.select(3, incremental=False).seeds == index.select(3, incremental=False).seeds
+        assert readonly.select(3).seeds == index.select(3).seeds
         with pytest.raises(ValueError, match="no graph"):
             readonly.ensure_theta(readonly.num_sets + 1, rng=0)
 
@@ -199,7 +249,7 @@ class TestPersistedIndex:
         index.save(path)
         mapped = SketchIndex.load(path, graph=wc_graph, mmap=True)
         assert isinstance(mapped.collection.nodes_array, np.memmap)
-        assert mapped.select(7, incremental=False).seeds == index.select(7, incremental=False).seeds
+        assert mapped.select(7).seeds == index.select(7).seeds
 
 
 class TestTimThroughIndex:
