@@ -9,14 +9,19 @@ weighted-cascade graph the sampler benchmarks use:
   resampling of only the affected RR sets.
 
 For each probed update (a delete, an insert, and a reweight on sampled
-edges) the script measures both paths and checks two acceptance bars:
+edges) the script measures both paths and checks three acceptance bars:
 
 * repair must be at least ``--min-speedup`` times faster than the rebuild
-  (ISSUE 4 bar: 10x), and
+  (10x by default),
 * the warm ``select(k)`` spread of the repaired index's seeds must sit
   within ``--max-spread-drift`` (1%) of the rebuilt index's seeds, with
   both seed sets scored by one independent, larger *evaluation sketch*
-  (``--eval-factor`` × θ, fresh seed) built on the post-update graph.
+  (``--eval-factor`` × θ, fresh seed) built on the post-update graph, and
+* the repaired index's warm ``select(k)`` — answered from postings patched
+  in place by the repair — must equal ``greedy_max_coverage`` run from
+  scratch on the repaired collection (same seeds, covered count and
+  gains), and every node's ``coverage_count`` must equal its frequency in
+  the repaired collection.
 
 The paired evaluator and the median are the honest way to read the 1% bar:
 
@@ -50,6 +55,7 @@ import numpy as np
 
 from repro.dynamic import DynamicDiGraph
 from repro.graphs import gnm_random_digraph, weighted_cascade
+from repro.rrset.coverage import greedy_max_coverage
 from repro.sketch import SketchIndex
 
 
@@ -94,6 +100,12 @@ def bench_updates(graph, theta: int, seed: int, k: int, updates,
 
         repair_seconds, report = _time(lambda: index.apply_update(delta, rng=seed + 1))
         repaired_select_seconds, repaired_result = _time(lambda: index.select(k))
+        reference = greedy_max_coverage(index.collection, index.num_nodes, k)
+        select_identical = (repaired_result.seeds == reference.seeds
+                            and repaired_result.covered == reference.covered
+                            and repaired_result.marginal_gains == reference.marginal_gains)
+        counts = [index.coverage_count([v]) for v in range(index.num_nodes)]
+        counts_identical = counts == index.collection.node_frequencies()
 
         rebuild_seconds, rebuilt = _time(
             lambda: SketchIndex.build(dynamic.graph, "IC", theta=theta,
@@ -125,6 +137,8 @@ def bench_updates(graph, theta: int, seed: int, k: int, updates,
             "affected_fraction": report.affected_fraction,
             "repair_seconds": repair_seconds,
             "repaired_select_seconds": repaired_select_seconds,
+            "select_identical": select_identical,
+            "counts_identical": counts_identical,
             "rebuild_seconds": rebuild_seconds,
             "speedup": rebuild_seconds / max(repair_seconds, 1e-12),
             "spread_repaired": spread_repaired,
@@ -179,6 +193,9 @@ def main(argv=None) -> int:
             f"{100 * row['affected_fraction']:.2f}%) | "
             f"rebuild {1000 * row['rebuild_seconds']:8.1f}ms | "
             f"speedup {row['speedup']:6.1f}x | "
+            f"select after repair {1000 * row['repaired_select_seconds']:6.1f}ms "
+            f"({'identical' if row['select_identical'] else 'MISMATCH'}, node counts "
+            f"{'identical' if row['counts_identical'] else 'MISMATCH'}) | "
             f"spread drift {100 * row['spread_drift']:.3f}% "
             f"(cold-rebuild null {100 * row['null_drift']:.3f}%)"
         )
@@ -186,6 +203,8 @@ def main(argv=None) -> int:
     speedups = [row["speedup"] for row in rows]
     drifts = [row["spread_drift"] for row in rows]
     nulls = [row["null_drift"] for row in rows]
+    mismatches = sum(1 for row in rows
+                     if not (row["select_identical"] and row["counts_identical"]))
     summary = {
         "nodes": graph.n,
         "edges": graph.m,
@@ -200,6 +219,9 @@ def main(argv=None) -> int:
         "max_spread_drift": max(drifts),
         "median_null_drift": statistics.median(nulls),
         "max_null_drift": max(nulls),
+        "median_repaired_select_seconds": statistics.median(
+            row["repaired_select_seconds"] for row in rows),
+        "select_mismatches": mismatches,
         "rows": rows,
     }
     print(
@@ -223,6 +245,11 @@ def main(argv=None) -> int:
     if summary["median_spread_drift"] > args.max_spread_drift:
         print(f"FAIL: median spread drift {100 * summary['median_spread_drift']:.2f}% "
               f"above the {100 * args.max_spread_drift:.0f}% bar", file=sys.stderr)
+        failed = True
+    if mismatches:
+        print(f"FAIL: on {mismatches} of {len(rows)} probes the repaired index's "
+              f"select({args.k}) or node cover counts differ from a fresh computation "
+              f"over its collection", file=sys.stderr)
         failed = True
     return 1 if failed else 0
 

@@ -326,9 +326,11 @@ class InfluenceSession:
                                    exclude=request.exclude)
         elif isinstance(request, SpreadRequest):
             index = self._ensure_index()
+            # One postings union; n * F_R(S) is what index.spread returns.
+            fraction = index.coverage_fraction(request.seeds)
             response = SpreadResponse(
-                spread=index.spread(request.seeds),
-                coverage_fraction=index.coverage_fraction(request.seeds),
+                spread=index.num_nodes * fraction,
+                coverage_fraction=fraction,
                 num_rr_sets=index.num_sets,
             )
         elif isinstance(request, MarginalRequest):

@@ -75,11 +75,12 @@ sets are exact in every mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.graphs.delta import GraphDelta
+from repro.rrset.coverage import _splice_payload
 from repro.rrset.flat_collection import FlatRRCollection
 from repro.utils.rng import resolve_rng
 from repro.utils.validation import require
@@ -101,6 +102,9 @@ class RepairReport:
     exact IC path a flagged set survives unchanged when its conditional
     coin keeps the old outcome).  ``exact`` distinguishes the
     distribution-exact IC trace repair from the resampling path.
+    ``replaced`` holds the sorted ids of the ``num_affected`` sets whose
+    stored bytes were replaced (what a postings patch reads); it stays out
+    of :meth:`as_dict`, which is the update reply's wire form.
     """
 
     op: str
@@ -113,6 +117,8 @@ class RepairReport:
     used_traces: bool
     num_candidates: int = 0
     exact: bool = False
+    replaced: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64),
+                                 compare=False, repr=False)
 
     @property
     def affected_fraction(self) -> float:
@@ -198,42 +204,6 @@ def affected_set_ids(collection: FlatRRCollection, delta: GraphDelta,
     memb = _member_set_ids(collection, v)
     safe = _trace_range_set_ids(collection, lo, q)
     return np.setdiff1d(memb, safe, assume_unique=True)
-
-
-# ----------------------------------------------------------------------
-# Splice
-# ----------------------------------------------------------------------
-def _splice_payload(old_ptr, old_payload, repl_ptr, repl_payload,
-                    affected) -> tuple[np.ndarray, np.ndarray]:
-    """Rebuild one CSR payload with ``affected`` segments replaced.
-
-    Returns ``(new_ptr, new_payload)``.  ``repl_payload`` holds the
-    replacement segments for the affected ids, in affected order.
-
-    The kept payload between two consecutive affected sets is one
-    contiguous run of the old array, so the whole splice is a
-    ``np.concatenate`` of ``2·|affected| + 1`` slices — memcpy speed, no
-    index gathers.  With typical single-edge updates invalidating a
-    fraction of a percent of θ, this is what keeps repair latency flat in
-    the sketch size.
-    """
-    num_sets = old_ptr.size - 1
-    old_sizes = np.diff(old_ptr)
-    repl_sizes = np.diff(repl_ptr)
-    # new_ptr = old_ptr plus the running size shift of earlier replacements.
-    shift = np.zeros(num_sets, dtype=np.int64)
-    shift[affected] = repl_sizes - old_sizes[affected]
-    np.cumsum(shift, out=shift)
-    new_ptr = old_ptr.astype(np.int64, copy=True)
-    new_ptr[1:] += shift
-    pieces = []
-    cursor = 0
-    for position, set_id in enumerate(affected.tolist()):
-        pieces.append(old_payload[old_ptr[cursor] : old_ptr[set_id]])
-        pieces.append(repl_payload[repl_ptr[position] : repl_ptr[position + 1]])
-        cursor = set_id + 1
-    pieces.append(old_payload[old_ptr[cursor] :])
-    return new_ptr, np.concatenate(pieces)
 
 
 # ----------------------------------------------------------------------
@@ -429,6 +399,7 @@ def _repair_ic_exact(collection: FlatRRCollection, delta: GraphDelta,
         num_patched=num_patched,
         used_traces=True,
         exact=True,
+        replaced=affected,
     )
     return repaired, report
 
@@ -551,5 +522,6 @@ def repair_collection(collection: FlatRRCollection, delta: GraphDelta, sampler,
         num_patched=num_patched,
         used_traces=collection.has_traces,
         exact=False,
+        replaced=affected,
     )
     return repaired, report

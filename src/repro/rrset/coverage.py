@@ -110,6 +110,83 @@ def _inverted_index(
     return inv_ptr, inv_sets
 
 
+def _splice_payload(old_ptr: np.ndarray, old_payload: np.ndarray, repl_ptr: np.ndarray,
+                    repl_payload: np.ndarray,
+                    replaced: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rebuild one CSR payload with the ``replaced`` segments swapped out.
+
+    Returns ``(new_ptr, new_payload)``.  ``replaced`` holds sorted, distinct
+    segment ids (RR sets of a sketch, or nodes of its postings), and
+    ``repl_ptr``/``repl_payload`` their new segments in that order.
+
+    The kept payload between two consecutive replaced segments is one
+    contiguous run of the old array, so the whole splice is a
+    ``np.concatenate`` of ``2·|replaced| + 1`` slices — memcpy speed, no
+    index gathers.  With typical single-edge updates invalidating a
+    fraction of a percent of θ, this is what keeps repair latency flat in
+    the sketch size.
+    """
+    num_segments = old_ptr.size - 1
+    old_sizes = np.diff(old_ptr)
+    repl_sizes = np.diff(repl_ptr)
+    # new_ptr = old_ptr plus the running size shift of earlier replacements.
+    shift = np.zeros(num_segments, dtype=np.int64)
+    shift[replaced] = repl_sizes - old_sizes[replaced]
+    np.cumsum(shift, out=shift)
+    new_ptr = old_ptr.astype(np.int64, copy=True)
+    new_ptr[1:] += shift
+    pieces = []
+    cursor = 0
+    for position, segment in enumerate(replaced.tolist()):
+        pieces.append(old_payload[old_ptr[cursor] : old_ptr[segment]])
+        pieces.append(repl_payload[repl_ptr[position] : repl_ptr[position + 1]])
+        cursor = segment + 1
+    pieces.append(old_payload[old_ptr[cursor] :])
+    return new_ptr, np.concatenate(pieces)
+
+
+def _patch_postings(inv_ptr: np.ndarray, inv_sets: np.ndarray,
+                    old_ptr: np.ndarray, old_nodes: np.ndarray,
+                    new_ptr: np.ndarray, new_nodes: np.ndarray,
+                    replaced: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Postings of ``(new_ptr, new_nodes)``, patched from those of the old sets.
+
+    ``(inv_ptr, inv_sets)`` is ``_inverted_index`` of ``(old_ptr,
+    old_nodes)``, and the two collections differ only in the ``replaced``
+    sets (sorted ids), as a repair leaves them.  Each replaced set's old
+    and new members are diffed into (node, set) pairs that left or
+    arrived; only the nodes those pairs touch get their postings slice
+    rebuilt, and the slices are spliced in.  The result equals a fresh
+    ``_inverted_index`` of the new collection byte for byte, as long as a
+    set holds each member once (every sampler and repair path keeps it so).
+    """
+    num_sets = old_ptr.size - 1
+    replaced = np.asarray(replaced, dtype=np.int64)
+
+    def pair_keys(ptr: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+        # One key per (node, set) pair, sorted node-major: the postings order.
+        members = _gather_members(ptr, nodes, replaced).astype(np.int64)
+        owners = np.repeat(replaced, ptr[replaced + 1] - ptr[replaced])
+        return np.sort(members * num_sets + owners)
+
+    old_keys = pair_keys(old_ptr, old_nodes)
+    new_keys = pair_keys(new_ptr, new_nodes)
+    left = np.setdiff1d(old_keys, new_keys, assume_unique=True)
+    arrived = np.setdiff1d(new_keys, old_keys, assume_unique=True)
+    if left.size == 0 and arrived.size == 0:
+        return inv_ptr, inv_sets
+    touched = np.union1d(left // num_sets, arrived // num_sets)
+    sizes = inv_ptr[touched + 1] - inv_ptr[touched]
+    keys = np.repeat(touched, sizes) * num_sets + _gather_members(inv_ptr, inv_sets, touched)
+    # Every left pair is in the old postings; no arrived pair is.
+    keys = np.delete(keys, np.searchsorted(keys, left))
+    keys = np.insert(keys, np.searchsorted(keys, arrived), arrived)
+    owners = keys // num_sets
+    repl_ptr = np.zeros(touched.size + 1, dtype=np.int64)
+    repl_ptr[1:] = np.searchsorted(owners, touched, side="right")
+    return _splice_payload(inv_ptr, inv_sets, repl_ptr, keys - owners * num_sets, touched)
+
+
 # ----------------------------------------------------------------------
 # Solvers
 # ----------------------------------------------------------------------

@@ -41,6 +41,13 @@ _PTR_DTYPE = np.int64
 _TRACE_DTYPE = np.int32
 
 
+def _check_node_ids(nodes: np.ndarray, num_nodes: int) -> None:
+    """Reject member ids outside ``[0, num_nodes)`` before they are stored."""
+    if nodes.size:
+        lo, hi = int(nodes.min()), int(nodes.max())
+        require(0 <= lo and hi < num_nodes, "node id out of range for num_nodes")
+
+
 def _grow(array: np.ndarray, needed: int) -> np.ndarray:
     """Return ``array`` with capacity >= ``needed`` (amortised doubling)."""
     capacity = array.size
@@ -151,9 +158,7 @@ class FlatRRCollection:
         require(int(ptr[0]) == 0, "ptr must start at 0")
         require(int(ptr[-1]) == int(nodes.size), "ptr does not span the nodes array")
         require(bool(np.all(np.diff(ptr) >= 0)), "ptr must be non-decreasing")
-        if nodes.size:
-            lo, hi = int(nodes.min()), int(nodes.max())
-            require(0 <= lo and hi < num_nodes, "node id out of range for num_nodes")
+        _check_node_ids(nodes, num_nodes)
         require((trace_ptr is None) == (trace_edges is None),
                 "trace_ptr and trace_edges must be given together")
         collection = cls(num_nodes, graph_edges, track_traces=trace_ptr is not None)
@@ -208,6 +213,7 @@ class FlatRRCollection:
     def append_arrays(self, root: int, members: np.ndarray, width: int, cost: int,
                       trace: np.ndarray | None = None) -> None:
         """Add one RR set given its member array directly (no tuple detour)."""
+        _check_node_ids(members, self.num_nodes)
         count = int(members.size)
         trace_count = self._check_trace(trace, int(trace.size) if trace is not None else 0)
         self._reserve(self._num_sets + 1, self._num_entries + count,
@@ -283,6 +289,7 @@ class FlatRRCollection:
                 "trace_ptr and trace_edges must be given together")
         if extra_sets == 0:
             return
+        _check_node_ids(nodes, self.num_nodes)
         extra_trace = self._check_trace(
             trace_ptr, int(trace_edges.size) if trace_edges is not None else 0
         )

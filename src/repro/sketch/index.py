@@ -19,6 +19,12 @@ Warm-start theta extension: when a query demands a tighter ε than the sketch
 was built for, :meth:`ensure_theta` appends freshly sampled RR sets via
 ``extend_flat`` (never resampling the existing prefix) and invalidates the
 derived structures; :meth:`save` then persists the grown sketch.
+
+Edge updates: :meth:`apply_update` repairs only the RR sets an update
+touched (:mod:`repro.dynamic.repair`) and patches the postings of just the
+nodes whose membership changed, so they stay equal to a fresh build; only
+the greedy state starts over.  An update costs what it touches, not a
+rebuild of the whole index.
 """
 
 from __future__ import annotations
@@ -36,7 +42,12 @@ from repro.core.parameters import adjusted_ell_tim, lambda_param, theta_from_kpt
 from repro.diffusion.base import resolve_model
 from repro.parallel import ParallelSampler, maybe_parallel
 from repro.rrset.base import make_rr_sampler
-from repro.rrset.coverage import CoverageResult, _GreedyKernel, _inverted_index
+from repro.rrset.coverage import (
+    CoverageResult,
+    _GreedyKernel,
+    _inverted_index,
+    _patch_postings,
+)
 from repro.rrset.flat_collection import FlatRRCollection
 from repro.utils.rng import resolve_rng
 from repro.utils.validation import check_k, require
@@ -369,12 +380,19 @@ class SketchIndex:
         a :class:`~repro.dynamic.graph.DynamicDiGraph` mutation (or the
         :mod:`repro.graphs.delta` primitives) whose *old* side is the graph
         this index currently serves.  Only the RR sets the update could have
-        changed are resampled — with their original roots, through a fresh
-        sampler bound to the new snapshot (sharded across ``jobs`` workers
-        with ``SeedSequence.spawn`` streams, so the repaired bytes are
-        worker-count invariant).  The index then rebinds to the new graph:
-        fingerprint metadata moves forward, stale KPT caches drop, and the
-        postings/selection state invalidates.
+        changed are rewritten (:func:`~repro.dynamic.repair.repair_collection`):
+        a traced IC sketch extends or shrinks them over their stored live
+        edges, with no resampling; LT and untraced sketches resample them
+        with their original roots, through a fresh sampler bound to the new
+        snapshot (sharded across ``jobs`` workers with ``SeedSequence.spawn``
+        streams, so the repaired bytes are worker-count invariant).
+
+        Built postings are patched for the rewritten sets only, and the
+        patch is computed before any index state changes: if the repair or
+        the patch raises, the index keeps serving the old snapshot.  The
+        index then rebinds to the new graph: fingerprint metadata moves
+        forward, stale KPT caches drop, and the greedy selection state
+        starts over from the patched postings.
 
         Returns the :class:`~repro.dynamic.repair.RepairReport`.
         """
@@ -402,6 +420,13 @@ class SketchIndex:
             repaired, report = repair_collection(
                 self.collection, delta, sampler, rng=resolve_rng(rng)
             )
+            postings: tuple[np.ndarray[Any, Any], np.ndarray[Any, Any]] | None = None
+            if self._inv_ptr is not None and self._inv_sets is not None:
+                postings = _patch_postings(
+                    self._inv_ptr, self._inv_sets,
+                    self.collection.ptr_array, self.collection.nodes_array,
+                    repaired.ptr_array, repaired.nodes_array, report.replaced,
+                )
         obs.add("repair.sets_resampled", report.num_affected)
         if jobs is not None:
             self._jobs = jobs
@@ -420,6 +445,8 @@ class SketchIndex:
         for stale in ("kpt_cache", "kpt_star_by_k", "kpt_star"):
             self.meta.pop(stale, None)
         self.invalidate()
+        if postings is not None:
+            self._inv_ptr, self._inv_sets = postings
         return report
 
     # ------------------------------------------------------------------

@@ -489,9 +489,11 @@ class InfluenceService:
                 cache=cache,
             )
         if isinstance(request, SpreadRequest):
+            # One postings union; n * F_R(S) is what index.spread returns.
+            fraction = index.coverage_fraction(request.seeds)
             return SpreadResponse(
-                spread=index.spread(request.seeds),
-                coverage_fraction=index.coverage_fraction(request.seeds),
+                spread=index.num_nodes * fraction,
+                coverage_fraction=fraction,
                 num_rr_sets=index.num_sets,
                 cache=cache,
             )

@@ -237,6 +237,23 @@ class TestTypedOps:
             spread = session.execute(SpreadRequest(seeds=tuple(picked.seeds)))
             assert spread.spread == pytest.approx(session.spread(picked.seeds))
 
+    def test_spread_request_runs_the_postings_union_once(self, wc_graph, monkeypatch):
+        with InfluenceSession(wc_graph, "IC", rng=6) as session:
+            seeds = tuple(session.select(3).seeds)
+            unions = []
+            covered_mask = SketchIndex._covered_mask
+
+            def counted(index, members):
+                unions.append(members)
+                return covered_mask(index, members)
+
+            monkeypatch.setattr(SketchIndex, "_covered_mask", counted)
+            response = session.execute(SpreadRequest(seeds=seeds))
+            assert len(unions) == 1
+            monkeypatch.undo()
+            assert response.spread == session.spread(seeds)
+            assert response.coverage_fraction == session.index.coverage_fraction(seeds)
+
     def test_execute_wire_dicts(self, wc_graph):
         with InfluenceSession(wc_graph, "IC", rng=6) as session:
             response = session.execute({"op": "select", "k": 2})

@@ -8,6 +8,7 @@ sketch must
   a cold rebuild from the build seed shares them),
 * keep every never-invalidated set bit-identical (kept sets are exact under
   the live-edge coupling, not merely equidistributed),
+* answer from postings equal to a fresh build of the repaired sketch,
 * maintain the width invariant ``w(R) = Σ in-degree over members`` against
   the *current* snapshot after every update (this is what KPT reads), and
 * when no update invalidated any set, reproduce the pre-update selection
@@ -26,6 +27,7 @@ from hypothesis import strategies as st
 from repro.analysis import exact_spread_ic
 from repro.dynamic import DynamicDiGraph
 from repro.graphs import from_edges
+from repro.rrset.coverage import _inverted_index
 from repro.sketch import SketchIndex
 
 THETA = 300
@@ -94,6 +96,9 @@ def apply_ops(dynamic, index, ops):
         widths = np.where(sizes > 0, np.add.reduceat(indeg[nodes], ptr[:-1]), 0) \
             if nodes.size else np.zeros(len(coll), dtype=np.int64)
         assert np.array_equal(widths, coll.widths_array)
+        fresh = _inverted_index(ptr, nodes, coll.num_nodes)
+        for kept, built in zip(index._ensure_postings(), fresh):
+            assert kept.dtype == built.dtype and kept.tobytes() == built.tobytes()
     return total_affected
 
 

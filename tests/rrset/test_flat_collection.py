@@ -77,6 +77,54 @@ class TestLayout:
             flat.truncate(6)
 
 
+class TestMemberIdRange:
+    """Every way in rejects member ids outside [0, num_nodes), as from_arrays does."""
+
+    @pytest.mark.parametrize("bad", [5, 3, -1])
+    def test_append_arrays_rejects_out_of_range_members(self, bad):
+        flat = FlatRRCollection(3, 1)
+        with pytest.raises(ValueError, match="node id out of range"):
+            flat.append_arrays(root=0, members=np.array([0, bad], dtype=np.int32),
+                               width=0, cost=0)
+        assert len(flat) == 0 and flat.nodes_array.size == 0
+
+    @pytest.mark.parametrize("bad", [5, -2])
+    def test_append_rejects_out_of_range_members(self, bad):
+        flat = FlatRRCollection(3, 1)
+        with pytest.raises(ValueError, match="node id out of range"):
+            flat.append(RRSet(root=0, nodes=(0, bad), width=0, cost=2))
+        assert len(flat) == 0
+
+    @pytest.mark.parametrize("bad", [3, -1])
+    def test_extend_arrays_rejects_out_of_range_members(self, bad):
+        flat = FlatRRCollection(3, 1)
+        flat.append_arrays(root=1, members=np.array([1, 2], dtype=np.int32), width=1, cost=3)
+        with pytest.raises(ValueError, match="node id out of range"):
+            flat.extend_arrays(roots=np.array([0, 2]), ptr=np.array([0, 1, 3]),
+                               nodes=np.array([0, 2, bad], dtype=np.int32),
+                               widths=np.zeros(2, dtype=np.int64),
+                               costs=np.zeros(2, dtype=np.int64))
+        assert flat.sets == [(1, 2)]
+
+    def test_rejected_append_leaves_the_collection_usable(self):
+        from repro.rrset.coverage import greedy_max_coverage
+
+        flat = FlatRRCollection(3, 1)
+        with pytest.raises(ValueError):
+            flat.append_arrays(root=0, members=np.array([0, 5], dtype=np.int32),
+                               width=0, cost=0)
+        flat.append_arrays(root=0, members=np.array([0, 2], dtype=np.int32), width=0, cost=0)
+        assert greedy_max_coverage(flat, 3, 1).seeds == [0]
+
+    def test_in_range_members_are_accepted_at_both_ends(self):
+        flat = FlatRRCollection(3, 1)
+        flat.append_arrays(root=0, members=np.array([0, 2], dtype=np.int32), width=0, cost=0)
+        flat.extend_arrays(roots=np.array([2]), ptr=np.array([0, 2]),
+                           nodes=np.array([2, 0], dtype=np.int32),
+                           widths=np.zeros(1, dtype=np.int64), costs=np.zeros(1, dtype=np.int64))
+        assert flat.sets == [(0, 2), (2, 0)]
+
+
 class TestEstimatorsMatchDirectSums:
     """Each estimator equals the same quantity summed over the stored sets."""
 

@@ -89,6 +89,23 @@ class TestQueries:
         ).to_wire()
         assert gain["ok"] and gain["result"]["gain"] >= 0
 
+    def test_spread_request_runs_the_postings_union_once(self, service, wc_graph,
+                                                          monkeypatch):
+        seeds = service.execute(wc_graph, {"op": "select", "k": 3}).to_wire()["result"]["seeds"]
+        unions = []
+        covered_mask = SketchIndex._covered_mask
+
+        def counted(index, members):
+            unions.append(members)
+            return covered_mask(index, members)
+
+        monkeypatch.setattr(SketchIndex, "_covered_mask", counted)
+        spread = service.execute(wc_graph, {"op": "spread", "seeds": seeds}).to_wire()
+        assert len(unions) == 1
+        index, _ = service.get_index(wc_graph, "IC")
+        assert spread["result"]["spread"] == index.spread(seeds)
+        assert spread["result"]["coverage_fraction"] == index.coverage_fraction(seeds)
+
     def test_stats_op(self, service, wc_graph):
         service.execute(wc_graph, {"op": "select", "k": 2})
         response = service.execute(wc_graph, {"op": "stats"}).to_wire()
