@@ -24,6 +24,7 @@ from typing import Iterator
 
 import numpy as np
 
+from repro.utils.sorting import group_sort
 from repro.utils.validation import check_node, require
 
 __all__ = ["DiGraph"]
@@ -94,11 +95,17 @@ class DiGraph:
         self._fingerprint_cache = None
 
     def _build_csr(self, keys: np.ndarray, values: np.ndarray):
-        """CSR arrays grouping ``values``/``prob`` by ``keys``."""
+        """CSR arrays grouping ``values``/``prob`` by ``keys``.
+
+        The grouping is stable: each node's slice lists its edges in
+        input-edge order.  :mod:`repro.graphs.delta` relies on this to map
+        an edge's input index to its in-CSR position and to shift in-CSR
+        edge ids by one when an edge is inserted or deleted.
+        """
         counts = np.bincount(keys, minlength=self.n)
         ptr = np.zeros(self.n + 1, dtype=np.int64)
         np.cumsum(counts, out=ptr[1:])
-        order = np.argsort(keys, kind="stable")
+        order = group_sort(keys, np.arange(self.m, dtype=np.int64), self.m)
         return ptr, np.ascontiguousarray(values[order]), np.ascontiguousarray(self.prob[order])
 
     # ------------------------------------------------------------------

@@ -25,6 +25,8 @@ from typing import Collection, Sequence
 
 import numpy as np
 
+from repro.rrset.flat_collection import FlatRRCollection, _check_node_ids
+from repro.utils.sorting import group_sort
 from repro.utils.validation import require
 
 __all__ = [
@@ -60,12 +62,14 @@ def coverage_of(rr_sets: Sequence[tuple[int, ...]], nodes) -> int:
 # ----------------------------------------------------------------------
 # Flat representation plumbing
 # ----------------------------------------------------------------------
-def _as_flat_arrays(rr_sets) -> tuple[np.ndarray, np.ndarray]:
-    """``(ptr, nodes)`` int arrays for either storage format."""
-    # Duck-typed so FlatRRCollection needn't be imported (avoids a cycle).
-    ptr = getattr(rr_sets, "ptr_array", None)
-    if ptr is not None:
-        return np.asarray(ptr, dtype=np.int64), np.asarray(rr_sets.nodes_array, dtype=np.int64)
+def _as_flat_arrays(rr_sets, num_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(ptr, nodes)`` arrays for either storage format.
+
+    A collection's int32 ``nodes`` are read as they are, already checked on
+    append; tuple members are checked against ``num_nodes`` here.
+    """
+    if isinstance(rr_sets, FlatRRCollection):
+        return rr_sets.ptr_array, rr_sets.nodes_array
     num_sets = len(rr_sets)
     sizes = np.fromiter((len(rr) for rr in rr_sets), dtype=np.int64, count=num_sets)
     ptr = np.zeros(num_sets + 1, dtype=np.int64)
@@ -74,6 +78,7 @@ def _as_flat_arrays(rr_sets) -> tuple[np.ndarray, np.ndarray]:
     nodes = np.fromiter(
         (int(v) for rr in rr_sets for v in rr), dtype=np.int64, count=total
     )
+    _check_node_ids(nodes, num_nodes)
     return ptr, nodes
 
 
@@ -100,14 +105,20 @@ def _decrement(counts: np.ndarray, members: np.ndarray) -> None:
 def _inverted_index(
     ptr: np.ndarray, nodes: np.ndarray, num_nodes: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """CSR map node → ids of the sets containing it."""
-    num_sets = ptr.size - 1
-    set_of_entry = np.repeat(np.arange(num_sets, dtype=np.int64), np.diff(ptr))
-    order = np.argsort(nodes, kind="stable")
-    inv_sets = set_of_entry[order]
+    """CSR map node → ids of the sets containing it, both int64.
+
+    Each node's slice lists its set ids in increasing order, the order a
+    stable sort of ``nodes`` gives.  The set ids are the members of one
+    packed-key :func:`~repro.utils.sorting.group_sort`, so they come straight
+    out of the sort with no gather through a permutation.
+    """
+    # bincount widens int32 nodes to a full int64 copy: count before the
+    # sort so that copy is gone before the sort's two int64 arrays exist.
     inv_ptr = np.zeros(num_nodes + 1, dtype=np.int64)
     np.cumsum(np.bincount(nodes, minlength=num_nodes), out=inv_ptr[1:])
-    return inv_ptr, inv_sets
+    num_sets = ptr.size - 1
+    set_of_entry = np.repeat(np.arange(num_sets, dtype=np.int64), np.diff(ptr))
+    return inv_ptr, group_sort(nodes, set_of_entry, num_sets)
 
 
 def _splice_payload(old_ptr: np.ndarray, old_payload: np.ndarray, repl_ptr: np.ndarray,
@@ -245,7 +256,7 @@ def greedy_max_coverage(rr_sets, num_nodes: int, k: int) -> CoverageResult:
     """
     require(k >= 1, "k must be >= 1")
     require(num_nodes >= k, "k cannot exceed the number of nodes")
-    ptr, nodes = _as_flat_arrays(rr_sets)
+    ptr, nodes = _as_flat_arrays(rr_sets, num_nodes)
     kernel = _GreedyKernel(ptr, nodes, *_inverted_index(ptr, nodes, num_nodes))
     kernel.extend_to(k)
     return kernel.result(k)

@@ -48,6 +48,13 @@ def _check_node_ids(nodes: np.ndarray, num_nodes: int) -> None:
         require(0 <= lo and hi < num_nodes, "node id out of range for num_nodes")
 
 
+def _check_trace_ids(trace_edges: np.ndarray, graph_edges: int) -> None:
+    """Reject trace edge ids outside ``[0, graph_edges)`` before they are stored."""
+    if trace_edges.size:
+        lo, hi = int(trace_edges.min()), int(trace_edges.max())
+        require(0 <= lo and hi < graph_edges, "trace edge id out of range for graph_edges")
+
+
 def _grow(array: np.ndarray, needed: int) -> np.ndarray:
     """Return ``array`` with capacity >= ``needed`` (amortised doubling)."""
     capacity = array.size
@@ -180,10 +187,7 @@ class FlatRRCollection:
                     "trace_ptr does not span the trace_edges array")
             require(bool(np.all(np.diff(trace_ptr) >= 0)),
                     "trace_ptr must be non-decreasing")
-            if trace_edges.size:
-                lo, hi = int(trace_edges.min()), int(trace_edges.max())
-                require(0 <= lo and hi < graph_edges,
-                        "trace edge id out of range for graph_edges")
+            _check_trace_ids(trace_edges, graph_edges)
             collection._trace_ptr = trace_ptr
             collection._trace_edges = trace_edges
             collection._num_trace_entries = int(trace_edges.size)
@@ -216,6 +220,8 @@ class FlatRRCollection:
         _check_node_ids(members, self.num_nodes)
         count = int(members.size)
         trace_count = self._check_trace(trace, int(trace.size) if trace is not None else 0)
+        if trace is not None:
+            _check_trace_ids(trace, self.graph_edges)
         self._reserve(self._num_sets + 1, self._num_entries + count,
                       self._num_trace_entries + trace_count)
         self._nodes[self._num_entries : self._num_entries + count] = members
@@ -295,6 +301,7 @@ class FlatRRCollection:
         )
         if self._track_traces:
             require(trace_ptr.size == extra_sets + 1, "trace_ptr/roots length mismatch")
+            _check_trace_ids(trace_edges, self.graph_edges)
         self._reserve(self._num_sets + extra_sets, self._num_entries + extra_entries,
                       self._num_trace_entries + extra_trace)
         self._nodes[self._num_entries : self._num_entries + extra_entries] = nodes

@@ -40,6 +40,7 @@ from repro.obs.registry import SIZE_BUCKETS
 from repro.rrset.base import RRSampler, RRSet
 from repro.rrset.flat_collection import FlatRRCollection
 from repro.utils.rng import RandomSource, resolve_rng
+from repro.utils.sorting import group_sort
 
 __all__ = ["ICRRSampler"]
 
@@ -520,7 +521,13 @@ class ICRRSampler(RRSampler):
         trace_samples: list[np.ndarray] | None = None,
         trace_edge_ids: list[np.ndarray] | None = None,
     ) -> None:
-        """Sort membership by sample and bulk-append the batch to ``out``."""
+        """Group membership by sample and bulk-append the batch to ``out``.
+
+        Each set keeps its members in discovery order, root first, and its
+        trace in coin order: both lists are grouped by sample id with
+        :func:`~repro.utils.sorting.group_sort` over entry positions, a
+        stable grouping.
+        """
         batch = int(roots.size)
         all_s = member_samples[0] if len(member_samples) == 1 else np.concatenate(member_samples)
         all_v = member_nodes[0] if len(member_nodes) == 1 else np.concatenate(member_nodes)
@@ -529,7 +536,10 @@ class ICRRSampler(RRSampler):
             widths = np.bincount(
                 all_s, weights=self._np_in_deg[all_v], minlength=batch
             ).astype(np.int64)
-        order = np.argsort(all_s, kind="stable")
+        # Gather at once, so the permutation is freed before the trace sort.
+        order = group_sort(all_s, np.arange(all_s.size, dtype=np.int64), all_s.size)
+        nodes = all_v[order].astype(np.int32, copy=False)
+        del order
         sizes = np.bincount(all_s, minlength=batch)
         local_ptr = np.zeros(batch + 1, dtype=np.int64)
         np.cumsum(sizes, out=local_ptr[1:])
@@ -541,7 +551,7 @@ class ICRRSampler(RRSampler):
             else:
                 t_s = np.empty(0, dtype=np.int64)
                 t_e = np.empty(0, dtype=np.int64)
-            t_order = np.argsort(t_s, kind="stable")
+            t_order = group_sort(t_s, np.arange(t_s.size, dtype=np.int64), t_s.size)
             t_sizes = np.bincount(t_s, minlength=batch)
             trace_ptr = np.zeros(batch + 1, dtype=np.int64)
             np.cumsum(t_sizes, out=trace_ptr[1:])
@@ -549,7 +559,7 @@ class ICRRSampler(RRSampler):
         out.extend_arrays(
             roots=roots,
             ptr=local_ptr,
-            nodes=all_v[order].astype(np.int32, copy=False),
+            nodes=nodes,
             widths=widths,
             costs=sizes + widths,
             trace_ptr=trace_ptr,

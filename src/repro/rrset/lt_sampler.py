@@ -31,6 +31,7 @@ from repro.obs.registry import SIZE_BUCKETS
 from repro.rrset.base import RRSampler, RRSet
 from repro.rrset.flat_collection import FlatRRCollection
 from repro.utils.rng import RandomSource, resolve_rng
+from repro.utils.sorting import group_sort
 
 __all__ = ["LTRRSampler"]
 
@@ -291,11 +292,21 @@ class LTRRSampler(RRSampler):
         trace_samples: list[np.ndarray] | None = None,
         trace_edge_ids: list[np.ndarray] | None = None,
     ) -> None:
+        """Group the chunk's walks by sample and bulk-append them to ``out``.
+
+        Each set keeps its members in hop order, root first, and its trace
+        in pick order: both lists are grouped by sample id with
+        :func:`~repro.utils.sorting.group_sort` over entry positions, a
+        stable grouping.
+        """
         batch = int(chunk_roots.size)
         sizes = np.bincount(all_s, minlength=batch)
         local_ptr = np.zeros(batch + 1, dtype=np.int64)
         np.cumsum(sizes, out=local_ptr[1:])
-        order = np.argsort(all_s, kind="stable")  # root first, then hop order
+        # Gather at once, so the permutation is freed before the trace sort.
+        order = group_sort(all_s, np.arange(all_s.size, dtype=np.int64), all_s.size)
+        nodes = all_v[order].astype(np.int32, copy=False)
+        del order
         widths = np.bincount(
             all_s, weights=self._np_in_deg[all_v], minlength=batch
         ).astype(np.int64)
@@ -307,7 +318,7 @@ class LTRRSampler(RRSampler):
             else:
                 t_s = np.empty(0, dtype=np.int64)
                 t_e = np.empty(0, dtype=np.int64)
-            t_order = np.argsort(t_s, kind="stable")
+            t_order = group_sort(t_s, np.arange(t_s.size, dtype=np.int64), t_s.size)
             t_sizes = np.bincount(t_s, minlength=batch)
             trace_ptr = np.zeros(batch + 1, dtype=np.int64)
             np.cumsum(t_sizes, out=trace_ptr[1:])
@@ -317,7 +328,7 @@ class LTRRSampler(RRSampler):
         out.extend_arrays(
             roots=chunk_roots,
             ptr=local_ptr,
-            nodes=all_v[order].astype(np.int32, copy=False),
+            nodes=nodes,
             widths=widths,
             costs=2 * sizes,
             trace_ptr=trace_ptr,

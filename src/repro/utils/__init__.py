@@ -1,8 +1,9 @@
-"""Shared utilities: RNG management, timing, memory accounting, validation."""
+"""Shared utilities: RNG management, timing, memory accounting, validation, sorting."""
 
 from repro.utils.lazy_heap import LazyMaxHeap, lazy_greedy_maximize
 from repro.utils.memory import PeakTracker, track_peak
 from repro.utils.rng import RandomSource, resolve_rng, spawn_children, spawn_seed_streams
+from repro.utils.sorting import group_sort
 from repro.utils.timer import PhaseTimer, Timer, timed
 from repro.utils.validation import (
     check_ell,
@@ -23,6 +24,7 @@ __all__ = [
     "resolve_rng",
     "spawn_children",
     "spawn_seed_streams",
+    "group_sort",
     "PhaseTimer",
     "Timer",
     "timed",

@@ -178,3 +178,25 @@ class TestCsrInvariants:
             for u in g.out_neighbors(v):
                 rebuilt.add((v, int(u)))
         assert rebuilt == g.edge_set()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_slices_list_edges_in_input_order(self, seed):
+        # locate_edge and GraphDelta.remap_edge_ids rely on this order.
+        # Distinct probabilities tell parallel edges apart; the input is
+        # unsorted and repeats (u, v) pairs.
+        rng = np.random.default_rng(seed)
+        n, m = 7, 60
+        src = rng.integers(0, n, m)
+        dst = rng.integers(0, n, m)
+        prob = (np.arange(m) + 1) / (m + 1)
+        rng.shuffle(prob)
+        g = DiGraph(n, src, dst, prob)
+        for v in range(n):
+            targets, probs = g.out_edges(v)
+            ids = np.flatnonzero(src == v)
+            assert targets.tolist() == dst[ids].tolist()
+            assert probs.tolist() == prob[ids].tolist()
+            sources, probs = g.in_edges(v)
+            ids = np.flatnonzero(dst == v)
+            assert sources.tolist() == src[ids].tolist()
+            assert probs.tolist() == prob[ids].tolist()

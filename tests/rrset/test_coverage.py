@@ -64,6 +64,11 @@ class TestExactGreedy:
         with pytest.raises(ValueError):
             greedy_max_coverage(SIMPLE_SETS, 2, 3)
 
+    @pytest.mark.parametrize("bad", [5, 3, -1])
+    def test_rejects_out_of_range_tuple_members(self, bad):
+        with pytest.raises(ValueError, match="node id out of range for num_nodes"):
+            greedy_max_coverage([(0, 1), (0, bad)], 3, 1)
+
 
 class TestTieBreak:
     """A tied maximum goes to the smaller node id, exactly as in the oracle."""

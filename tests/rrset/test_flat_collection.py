@@ -125,6 +125,47 @@ class TestMemberIdRange:
         assert flat.sets == [(0, 2), (2, 0)]
 
 
+class TestTraceIdRange:
+    """Every way in rejects trace edge ids outside [0, graph_edges), as from_arrays does,
+    so a traced sketch the collection accepted always loads back."""
+
+    @pytest.mark.parametrize("bad", [7, 2, -1])
+    def test_append_arrays_rejects_out_of_range_trace(self, bad):
+        flat = FlatRRCollection(3, 2, track_traces=True)
+        with pytest.raises(ValueError, match="trace edge id out of range"):
+            flat.append_arrays(root=0, members=np.array([0, 1], dtype=np.int32), width=1,
+                               cost=2, trace=np.array([0, bad], dtype=np.int32))
+        assert len(flat) == 0 and flat.trace_edges_array.size == 0
+
+    @pytest.mark.parametrize("bad", [-3, 2])
+    def test_extend_arrays_rejects_out_of_range_trace(self, bad):
+        flat = FlatRRCollection(3, 2, track_traces=True)
+        with pytest.raises(ValueError, match="trace edge id out of range"):
+            flat.extend_arrays(roots=np.array([0, 2]), ptr=np.array([0, 2, 3]),
+                               nodes=np.array([0, 1, 2], dtype=np.int32),
+                               widths=np.ones(2, dtype=np.int64),
+                               costs=np.full(2, 2, dtype=np.int64),
+                               trace_ptr=np.array([0, 1, 2]),
+                               trace_edges=np.array([1, bad], dtype=np.int32))
+        assert len(flat) == 0
+
+    def test_accepted_traced_sets_load_back(self, tmp_path):
+        flat = FlatRRCollection(3, 2, track_traces=True)
+        flat.append_arrays(root=0, members=np.array([0, 1], dtype=np.int32), width=1,
+                           cost=2, trace=np.array([1], dtype=np.int32))
+        flat.extend_arrays(roots=np.array([2]), ptr=np.array([0, 2]),
+                           nodes=np.array([2, 0], dtype=np.int32),
+                           widths=np.ones(1, dtype=np.int64), costs=np.full(1, 3),
+                           trace_ptr=np.array([0, 2]),
+                           trace_edges=np.array([0, 1], dtype=np.int32))
+        path = tmp_path / "traced.npz"
+        flat.save(path)
+        loaded, _ = FlatRRCollection.load(path)
+        assert loaded.sets == [(0, 1), (2, 0)]
+        assert loaded.trace_edges_array.tolist() == [1, 0, 1]
+        assert path.exists()
+
+
 class TestEstimatorsMatchDirectSums:
     """Each estimator equals the same quantity summed over the stored sets."""
 

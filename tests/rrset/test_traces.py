@@ -94,6 +94,80 @@ class TestTraceInvariants:
                         frontier.append(source)
             assert reached == members
 
+    def test_ic_member_order_follows_discovery(self, ic_graph, monkeypatch):
+        # The batch commit must keep each set's members in discovery order:
+        # the root first, then every member reached by a live edge into a
+        # member listed before it, on the wave path and the tail path alike.
+        sampler = ICRRSampler(ic_graph, trace_edges=True)
+        calls = {"wave": 0, "tail": 0}
+        for name, key in (("_expand_wave", "wave"), ("_finish_tail", "tail")):
+            method = getattr(sampler, name)
+
+            def counted(*args, _method=method, _key=key, **kwargs):
+                calls[_key] += 1
+                return _method(*args, **kwargs)
+
+            monkeypatch.setattr(sampler, name, counted)
+        batch = sampler.sample_batch(np.arange(300) % ic_graph.n, RandomSource(5))
+        assert calls["wave"] > 0 and calls["tail"] > 0
+        ptr, nodes = batch.ptr_array, batch.nodes_array
+        dst = in_edge_destination(ic_graph, batch.trace_edges_array)
+        for i in range(len(batch)):
+            members = nodes[ptr[i] : ptr[i + 1]].tolist()
+            assert members[0] == int(batch.roots_array[i])
+            lo, hi = int(batch.trace_ptr_array[i]), int(batch.trace_ptr_array[i + 1])
+            live = list(zip(ic_graph.in_idx[batch.trace_edges_array[lo:hi]].tolist(),
+                            dst[lo:hi].tolist()))
+            for j in range(1, len(members)):
+                earlier = set(members[:j])
+                assert any(u == members[j] and w in earlier for u, w in live), (i, j)
+
+    @pytest.mark.parametrize("maker,graph_fixture,commit", [
+        (lambda g: ICRRSampler(g, trace_edges=True), "ic_graph", "_commit"),
+        (lambda g: ICRRSampler(g, max_depth=3, trace_edges=True), "ic_graph", "_commit"),
+        (lambda g: LTRRSampler(g, trace_edges=True), "lt_graph", "_commit_chunk"),
+    ], ids=["ic", "ic-bounded", "lt"])
+    def test_commit_groups_like_a_stable_argsort(self, maker, graph_fixture, commit,
+                                                 request, monkeypatch):
+        # Every batch commit lays out members and traces exactly as a stable
+        # argsort by sample id of its per-wave lists would.
+        graph = request.getfixturevalue(graph_fixture)
+        sampler = maker(graph)
+        expected = {"nodes": [], "trace": []}
+        original = getattr(sampler, commit)
+
+        def recording(roots, samples, nodes, *args):
+            # IC passes per-wave lists, LT whole arrays; both pass the trace
+            # lists last.
+            s, v = samples, nodes
+            if commit == "_commit":
+                s, v = np.concatenate(samples), np.concatenate(nodes)
+            t_s, t_e = (np.concatenate(part) for part in args[-2:])
+            expected["nodes"].append(v[np.argsort(s, kind="stable")])
+            expected["trace"].append(t_e[np.argsort(t_s, kind="stable")])
+            return original(roots, samples, nodes, *args)
+
+        monkeypatch.setattr(sampler, commit, recording)
+        batch = sampler.sample_batch(np.arange(400) % graph.n, RandomSource(3))
+        assert batch.nodes_array.tolist() == np.concatenate(expected["nodes"]).tolist()
+        assert batch.trace_edges_array.tolist() == np.concatenate(expected["trace"]).tolist()
+
+    def test_lt_member_order_follows_the_walk(self, lt_graph):
+        # Member j + 1 is the source of the edge member j picked, so the
+        # batch commit keeps both the members and the trace in hop order.
+        sampler = LTRRSampler(lt_graph, trace_edges=True)
+        batch = sampler.sample_batch(np.arange(300) % lt_graph.n, RandomSource(5))
+        ptr, nodes = batch.ptr_array, batch.nodes_array
+        for i in range(len(batch)):
+            members = nodes[ptr[i] : ptr[i + 1]].tolist()
+            assert members[0] == int(batch.roots_array[i])
+            trace = batch.trace_of(i)
+            picked_by = in_edge_destination(lt_graph, trace).tolist()
+            sources = lt_graph.in_idx[trace].tolist()
+            for j in range(len(members) - 1):
+                assert picked_by[j] == members[j], (i, j)
+                assert sources[j] == members[j + 1], (i, j)
+
     def test_lt_trace_is_one_pick_per_member(self, lt_graph):
         sampler = LTRRSampler(lt_graph, trace_edges=True)
         batch = sampler.sample_batch(np.arange(300) % lt_graph.n, RandomSource(5))
