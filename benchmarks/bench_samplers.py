@@ -1,22 +1,18 @@
-"""Micro-benchmarks: raw RR-set generation throughput, scalar vs batched.
+"""Micro-benchmarks: RR-set generation throughput across worker counts.
 
-Three parts:
+Two parts:
 
-* A runnable script (``python benchmarks/bench_samplers.py``) that times
-  the scalar sampler (one RR set per ``sample`` call) against the batched
-  ``sample_random_batch`` path on a weighted-cascade Erdős–Rényi graph.
-  Defaults to the paper-scale n=20k / m=200k instance; ``--smoke`` shrinks
-  it for CI.  Exits non-zero if the batched path is not at least
-  ``--min-speedup`` times faster.  Distributional parity of the two
-  samplers is pinned by ``tests/property/test_engine_equivalence.py``.
-
-* A multicore sweep (``--jobs 1,2,0``; 0 = all cores) over the sharded
-  worker-pool engine: RR-sets/sec and speedup per worker count, plus a
-  hard byte-identity check — every jobs value must produce the exact same
-  ``FlatRRCollection`` arrays and the exact same ``tim()`` seed set as the
-  first one.  ``--min-jobs-speedup`` turns the speedup into a pass/fail
-  bar (only enforced when more than one core is actually available);
-  ``--json-out`` records the summary for CI artifacts.
+* A runnable multicore sweep (``python benchmarks/bench_samplers.py
+  --jobs 1,2,0``; 0 = all cores) over the sharded worker-pool engine on a
+  weighted-cascade Erdős–Rényi graph: RR-sets/sec and speedup per worker
+  count, plus a hard byte-identity check — every jobs value must produce
+  the exact same ``FlatRRCollection`` arrays and the exact same ``tim()``
+  seed set as the first one.  Defaults to the paper-scale n=20k / m=200k
+  instance; ``--smoke`` shrinks it for CI.  ``--min-jobs-speedup`` turns
+  the speedup into a pass/fail bar (only enforced when more than one core
+  is actually available); ``--json-out`` records the summary for CI
+  artifacts.  Distributional parity of the batched samplers against a
+  per-root oracle is pinned by ``tests/property/test_engine_equivalence.py``.
 
 * pytest-benchmark cases (the per-operation numbers behind every figure:
   Section 7.2's observation that LT sampling is cheaper than IC shows up
@@ -53,7 +49,7 @@ def collect_obs_metrics(rr_sets_per_sec: dict[str, float]) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Scalar vs batched generation
+# Multicore jobs sweep
 # ----------------------------------------------------------------------
 def build_wc_graph(n: int, m: int, seed: int = 2014):
     from repro.graphs import gnm_random_digraph, weighted_cascade
@@ -61,76 +57,6 @@ def build_wc_graph(n: int, m: int, seed: int = 2014):
     return weighted_cascade(gnm_random_digraph(n, m, rng=seed))
 
 
-def bench_generation(graph, num_sets: int, seed: int = 1) -> dict[str, float]:
-    """Seconds to generate ``num_sets`` random RR sets, scalar vs batched."""
-    sampler = make_rr_sampler(graph, "IC")
-    # Warm both paths once (adjacency/degree caches, allocator) so the
-    # timed sections measure steady-state throughput.
-    sampler.sample(RandomSource(0))
-    sampler.sample_random_batch(min(num_sets, 500), RandomSource(0))
-
-    rng = RandomSource(seed)
-    started = time.perf_counter()
-    total_scalar = 0
-    for _ in range(num_sets):
-        total_scalar += len(sampler.sample(rng))
-    scalar_seconds = time.perf_counter() - started
-
-    started = time.perf_counter()
-    batch = sampler.sample_random_batch(num_sets, RandomSource(seed + 1))
-    batched_seconds = time.perf_counter() - started
-    return {
-        "scalar_seconds": scalar_seconds,
-        "batched_seconds": batched_seconds,
-        "speedup": scalar_seconds / max(batched_seconds, 1e-12),
-        "scalar_mean_size": total_scalar / num_sets,
-        "batched_mean_size": float(batch.set_sizes().mean()),
-    }
-
-
-def run_comparison(args) -> int:
-    print(f"graph: weighted-cascade G(n={args.n}, m={args.m})  [seed {args.seed}]")
-    graph = build_wc_graph(args.n, args.m, seed=args.seed)
-
-    gen = bench_generation(graph, args.num_sets, seed=args.seed)
-    print(f"\nRR generation ({args.num_sets} random RR sets):")
-    for path in ("scalar", "batched"):
-        print(
-            f"  {path:<10} {gen[path + '_seconds']*1e3:9.1f} ms   "
-            f"(mean |R| = {gen[path + '_mean_size']:.2f})"
-        )
-    print(f"  speedup    {gen['speedup']:9.2f}x")
-
-    failed = False
-    if args.json_out:
-        summary = {
-            "graph": {"n": args.n, "m": args.m, "seed": args.seed, "model": "IC/WC"},
-            "num_sets": args.num_sets,
-            "generation": gen,
-            "metrics": collect_obs_metrics({
-                path: args.num_sets / max(gen[path + "_seconds"], 1e-12)
-                for path in ("scalar", "batched")
-            }),
-        }
-        with open(args.json_out, "w", encoding="utf-8") as handle:
-            json.dump(summary, handle, indent=2)
-        print(f"\nwrote {args.json_out}")
-
-    if gen["speedup"] < args.min_speedup:
-        print(
-            f"FAIL: RR-generation speedup {gen['speedup']:.2f}x "
-            f"< required {args.min_speedup:.2f}x",
-            file=sys.stderr,
-        )
-        failed = True
-    if not failed:
-        print("\nOK: batched sampling meets the speedup target")
-    return 1 if failed else 0
-
-
-# ----------------------------------------------------------------------
-# Multicore jobs sweep
-# ----------------------------------------------------------------------
 def run_jobs_sweep(args) -> int:
     """Time the sharded worker-pool engine at each requested worker count.
 
@@ -248,12 +174,10 @@ def main(argv=None) -> int:
     parser.add_argument("--k", type=int, default=20)
     parser.add_argument("--epsilon", type=float, default=0.3)
     parser.add_argument("--seed", type=int, default=2014)
-    parser.add_argument("--min-speedup", type=float, default=None)
     parser.add_argument(
         "--jobs",
-        default=None,
-        help="comma-separated worker counts (e.g. '1,2,0'; 0 = all cores): "
-        "run the multicore sharding sweep instead of the scalar-vs-batched timing",
+        default="1,2,0",
+        help="comma-separated worker counts (default '1,2,0'; 0 = all cores)",
     )
     parser.add_argument(
         "--min-jobs-speedup",
@@ -266,23 +190,18 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="small CI configuration: n=2000, m=10000, fewer RR sets, "
-        "relaxed speedup bar (shared CI runners are noisy)",
+        help="small CI configuration: n=2000, m=10000, fewer RR sets",
     )
     args = parser.parse_args(argv)
     if args.smoke:
         args.n, args.m, args.k = 2_000, 10_000, 10
     if args.num_sets is None:
         args.num_sets = 5_000 if args.smoke else 20_000
-    if args.min_speedup is None:
-        args.min_speedup = 1.5 if args.smoke else 3.0
     # Instrument the whole run so --json-out can report per-phase seconds
     # alongside the externally timed throughput numbers.
     obs.configure(enabled=True)
     obs.reset()
-    if args.jobs is not None:
-        return run_jobs_sweep(args)
-    return run_comparison(args)
+    return run_jobs_sweep(args)
 
 
 # ----------------------------------------------------------------------
@@ -304,19 +223,12 @@ def livejournal_lt():
 
 def test_ic_rr_generation(benchmark, livejournal_ic):
     sampler = make_rr_sampler(livejournal_ic, "IC")
-    rng = RandomSource(1)
-    benchmark(sampler.sample_many, 2000, rng)
-
-
-def test_ic_rr_generation_vectorized(benchmark, livejournal_ic):
-    sampler = make_rr_sampler(livejournal_ic, "IC")
     benchmark(lambda: sampler.sample_random_batch(2000, RandomSource(1)))
 
 
 def test_lt_rr_generation(benchmark, livejournal_lt):
     sampler = make_rr_sampler(livejournal_lt, "LT")
-    rng = RandomSource(2)
-    benchmark(sampler.sample_many, 2000, rng)
+    benchmark(lambda: sampler.sample_random_batch(2000, RandomSource(2)))
 
 
 def test_ic_forward_simulation(benchmark, livejournal_ic):

@@ -13,8 +13,6 @@ diagnostics.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.diffusion.base import resolve_model
 from repro.graphs.digraph import DiGraph
 from repro.rrset.base import RRSampler
@@ -52,11 +50,7 @@ def sample_indegree_weighted_set(graph: DiGraph, k: int, rng=None) -> list[int]:
 def estimate_ept(sampler: RRSampler, num_samples: int, rng=None) -> float:
     """EPT — the expected width of a random RR set — by direct averaging."""
     check_positive_int(num_samples, "num_samples")
-    source = resolve_rng(rng)
-    total = 0
-    for _ in range(num_samples):
-        total += sampler.sample(source).width
-    return total / num_samples
+    return sampler.sample_random_batch(num_samples, resolve_rng(rng)).mean_width()
 
 
 def estimate_kpt_by_definition(
@@ -86,10 +80,5 @@ def estimate_kpt_by_kappa(
     """KPT via Lemma 5: ``n · mean(κ(R))`` over random RR sets."""
     check_positive_int(num_samples, "num_samples")
     require(graph.m > 0, "kappa is undefined on an edgeless graph")
-    source = resolve_rng(rng)
-    m = graph.m
-    kappas = np.empty(num_samples)
-    for i in range(num_samples):
-        width = sampler.sample(source).width
-        kappas[i] = 1.0 - (1.0 - width / m) ** k
-    return graph.n * float(kappas.mean())
+    batch = sampler.sample_random_batch(num_samples, resolve_rng(rng))
+    return graph.n * batch.mean_kappa(k)

@@ -37,10 +37,10 @@ from repro.core.parameters import (
 from repro.core.results import TIMResult
 from repro.diffusion.base import resolve_model
 from repro.graphs.digraph import DiGraph
-from repro.rrset.base import RRSampler, RRSet, make_rr_sampler
+from repro.rrset.base import RRSampler, make_rr_sampler
 from repro.rrset.coverage import greedy_max_coverage
 from repro.rrset.flat_collection import FlatRRCollection
-from repro.utils.rng import RandomSource, resolve_rng
+from repro.utils.rng import resolve_rng
 from repro.utils.timer import PhaseTimer
 from repro.utils.validation import check_ell, check_epsilon, check_k, require
 
@@ -65,15 +65,8 @@ class WeightedRootSampler(RRSampler):
         self._last_positive = int(np.flatnonzero(weights)[-1])
         self.model_name = f"weighted-{inner.model_name}"
 
-    def sample_rooted(self, root: int, rng: RandomSource) -> RRSet:
-        return self.inner.sample_rooted(root, rng)
-
     def sample_batch(self, roots, rng) -> FlatRRCollection:
         return self.inner.sample_batch(roots, rng)
-
-    def sample(self, rng) -> RRSet:
-        """One weighted-root RR set (a batch of one, same root law)."""
-        return self.sample_random_batch(1, rng).to_rrsets()[0]
 
     def sample_random_batch(self, count: int, rng) -> FlatRRCollection:
         """``count`` RR sets whose roots are drawn ∝ node weight.

@@ -1,9 +1,5 @@
 """Experiment harness and per-figure reproductions of the paper's Section 7."""
 
-from repro.experiments.ablations import (
-    ablation_engine,
-    ablation_ic_fast_path,
-)
 from repro.experiments.export import (
     load_result_json,
     records_to_json,
@@ -31,14 +27,10 @@ EXPERIMENTS = {
     "fig11": figure11,
     "fig12": figure12,
     "section5": section5_table,
-    "ablation-sampler": ablation_ic_fast_path,
-    "ablation-engine": ablation_engine,
 }
 
 __all__ = [
     "EXPERIMENTS",
-    "ablation_engine",
-    "ablation_ic_fast_path",
     "figure3",
     "figure4",
     "figure5",

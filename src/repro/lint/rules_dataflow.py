@@ -43,8 +43,9 @@ from repro.lint.dataflow import (
 from repro.lint.findings import Finding
 from repro.lint.framework import ProjectContext, ProjectRule, register_rule
 
-#: Method/function basenames treated as sampler sinks for RL701.
-SAMPLER_SINKS = frozenset({"sample", "sample_batch"})
+#: Method/function basenames treated as sampler sinks for RL701; ``sample``
+#: is ``TriggeringDistribution.sample(node, rng)``, which takes an RNG too.
+SAMPLER_SINKS = frozenset({"sample", "sample_batch", "sample_random_batch"})
 
 #: Modules whose functions are the sanctioned process-global installers.
 SANCTIONED_WRITER_MODULES = frozenset({

@@ -140,8 +140,9 @@ class ParallelSampler:
     ----------
     sampler:
         The base per-process sampler (``ICRRSampler``, ``LTRRSampler``, ...).
-        Scalar entry points (``sample_rooted``, ``sample``, ``sample_many``)
-        delegate to it unchanged.
+        Random-root shards keep its root law: each shard calls its
+        ``sample_random_batch`` (a ``WeightedRootSampler`` draws weighted
+        roots).
     jobs:
         Worker count; ``0`` resolves to ``os.cpu_count()``.  ``jobs=1`` runs
         the shards inline — same shard layout, same seed streams, same
@@ -175,7 +176,7 @@ class ParallelSampler:
         self._finalizer = weakref.finalize(self, _shutdown_state, self._state)
 
     # ------------------------------------------------------------------
-    # Delegated scalar surface
+    # Delegated surface
     # ------------------------------------------------------------------
     @property
     def graph(self):
@@ -190,20 +191,9 @@ class ParallelSampler:
         """The wrapped per-process sampler."""
         return self._sampler
 
-    def sample_rooted(self, root: int, rng):
-        return self._sampler.sample_rooted(root, rng)
-
-    def sample(self, rng):
-        return self._sampler.sample(rng)
-
-    def sample_many(self, count: int, rng):
-        return self._sampler.sample_many(count, rng)
-
-    def width_of(self, nodes) -> int:
-        return self._sampler.width_of(nodes)
-
     def __getattr__(self, name):
-        # Anything else (tuning knobs, ablation flags) reads through.
+        # Anything else (max_depth, trace_edges, tuning constants) reads
+        # through.
         if name.startswith("_"):
             raise AttributeError(name)
         return getattr(self._sampler, name)

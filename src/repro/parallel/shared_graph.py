@@ -4,10 +4,9 @@ RR-set generation only ever walks *in*-edges (the reverse BFS of Section
 3.1), so the parent broadcasts exactly the in-CSR triplet —
 ``in_ptr``/``in_idx``/``in_prob`` — plus ``n`` and ``m``.  This class wraps
 the attached views with the slice of the ``DiGraph`` surface the samplers
-touch: CSR attributes, ``in_degrees``, the cached Python adjacency lists the
-scalar tail path uses, and edge-list views (``src``/``dst``/``prob``)
-reconstructed from the in-CSR grouping so model validators (e.g.
-``validate_lt_weights``) run unchanged.
+touch: CSR attributes, ``in_degrees``, and edge-list views
+(``src``/``dst``/``prob``) reconstructed from the in-CSR grouping so model
+validators (e.g. ``validate_lt_weights``) run unchanged.
 
 The arrays may be read-only (shared memory or memmap) — every sampler treats
 the graph as immutable, so that is exactly right.
@@ -30,7 +29,7 @@ def graph_payload(graph) -> dict[str, np.ndarray]:
 class SharedGraph:
     """In-CSR graph view reconstructed inside a worker process."""
 
-    __slots__ = ("n", "m", "in_ptr", "in_idx", "in_prob", "_in_adj_cache")
+    __slots__ = ("n", "m", "in_ptr", "in_idx", "in_prob")
 
     def __init__(self, num_nodes: int, in_ptr, in_idx, in_prob):
         self.n = int(num_nodes)
@@ -38,7 +37,6 @@ class SharedGraph:
         self.in_ptr = in_ptr
         self.in_idx = in_idx
         self.in_prob = in_prob
-        self._in_adj_cache = None
 
     @classmethod
     def from_arrays(cls, num_nodes: int, arrays: dict[str, np.ndarray]) -> "SharedGraph":
@@ -58,16 +56,6 @@ class SharedGraph:
 
     def in_degree(self, v: int) -> int:
         return int(self.in_ptr[v + 1] - self.in_ptr[v])
-
-    def in_adjacency(self) -> tuple[list[list[int]], list[list[float]]]:
-        if self._in_adj_cache is None:
-            idx_list = self.in_idx.tolist()
-            prob_list = self.in_prob.tolist()
-            ptr_list = self.in_ptr.tolist()
-            neighbors = [idx_list[ptr_list[v] : ptr_list[v + 1]] for v in range(self.n)]
-            probs = [prob_list[ptr_list[v] : ptr_list[v + 1]] for v in range(self.n)]
-            self._in_adj_cache = (neighbors, probs)
-        return self._in_adj_cache
 
     # -- edge-list views (validators iterate these, never mutate) -------
     @property

@@ -9,9 +9,10 @@ shard tasks until the pool shuts down.
 
 A shard task is ``(mode, seed, payload)``:
 
-* ``("random", seed, count)`` — draw ``count`` uniform roots from the
-  shard's own :class:`~repro.utils.rng.RandomSource` (seeded from the
-  parent's ``SeedSequence.spawn`` child), then sample;
+* ``("random", seed, count)`` — ``count`` random-root RR sets from the
+  sampler's own ``sample_random_batch`` (so it keeps its root law), drawn
+  with the shard's :class:`~repro.utils.rng.RandomSource` (seeded from the
+  parent's ``SeedSequence.spawn`` child);
 * ``("roots", seed, roots)`` — sample the given roots with the shard
   stream.
 
@@ -49,10 +50,7 @@ def sampler_spec(sampler) -> dict | None:
     if type(sampler) is ICRRSampler:
         return {
             "kind": "ic",
-            "use_fast_path": sampler.use_fast_path,
-            "fast_path_min_degree": sampler.fast_path_min_degree,
             "max_depth": sampler.max_depth,
-            "use_geometric_skip": sampler.use_geometric_skip,
             "trace_edges": sampler.trace_edges,
         }
     if type(sampler) is LTRRSampler:
@@ -67,17 +65,12 @@ def build_sampler(graph, spec: dict):
         from repro.rrset.ic_sampler import ICRRSampler
 
         return ICRRSampler(
-            graph,
-            use_fast_path=spec["use_fast_path"],
-            fast_path_min_degree=spec["fast_path_min_degree"],
-            max_depth=spec["max_depth"],
-            use_geometric_skip=spec["use_geometric_skip"],
-            trace_edges=spec.get("trace_edges", False),
+            graph, max_depth=spec["max_depth"], trace_edges=spec["trace_edges"]
         )
     if kind == "lt":
         from repro.rrset.lt_sampler import LTRRSampler
 
-        return LTRRSampler(graph, trace_edges=spec.get("trace_edges", False))
+        return LTRRSampler(graph, trace_edges=spec["trace_edges"])
     raise ValueError(f"unknown sampler spec kind {kind!r}")
 
 
@@ -94,12 +87,11 @@ def run_shard_with(sampler, task):
     mode, seed, payload = task
     source = RandomSource(seed)
     if mode == "random":
-        roots = source.np.integers(0, sampler.graph.n, size=int(payload), dtype=np.int64)
+        batch = sampler.sample_random_batch(int(payload), source)
     elif mode == "roots":
-        roots = np.ascontiguousarray(payload, dtype=np.int64)
+        batch = sampler.sample_batch(np.ascontiguousarray(payload, dtype=np.int64), source)
     else:  # pragma: no cover - defensive
         raise ValueError(f"unknown shard mode {mode!r}")
-    batch = sampler.sample_batch(roots, source)
     has_traces = batch.has_traces
     return (
         batch.ptr_array.copy(),

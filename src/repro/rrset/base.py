@@ -20,14 +20,17 @@ Every sample reports two cost figures:
 
 from __future__ import annotations
 
-import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.graphs.digraph import DiGraph
-from repro.utils.rng import RandomSource, resolve_rng
+from repro.utils.rng import resolve_rng
+
+if TYPE_CHECKING:
+    from repro.rrset.flat_collection import FlatRRCollection
 
 __all__ = ["RRSet", "RRSampler", "make_rr_sampler"]
 
@@ -36,10 +39,10 @@ __all__ = ["RRSet", "RRSampler", "make_rr_sampler"]
 class RRSet:
     """One sampled reverse-reachable set.
 
-    ``trace`` is only populated by samplers constructed with
-    ``trace_edges=True``: the ids (positions in the graph's in-CSR arrays)
-    of the *live* edges the generation examined — every successful coin for
-    IC, the single chosen in-edge per visited node for LT.  It is the
+    ``trace`` is only populated for sets drawn by a sampler constructed
+    with ``trace_edges=True``: the ids (positions in the graph's in-CSR
+    arrays) of the *live* edges the generation examined — every successful
+    coin for IC, the single chosen in-edge per visited node for LT.  It is the
     per-set dependency record that lets :mod:`repro.dynamic` invalidate
     precisely the sets an edge update could have changed.
     """
@@ -61,7 +64,11 @@ class RRSet:
 
 
 class RRSampler(ABC):
-    """Model-specific random RR-set generator bound to one graph."""
+    """Model-specific random RR-set generator bound to one graph.
+
+    :meth:`sample_batch` is each model's one sampling path; uniform random
+    roots (Definition 2) come from :meth:`sample_random_batch`.
+    """
 
     #: Display name of the diffusion model the sampler targets.
     model_name: str = "abstract"
@@ -70,78 +77,22 @@ class RRSampler(ABC):
     #: samplers that support the ``trace_edges`` constructor flag).
     trace_edges: bool = False
 
-    #: Sampler classes that already warned about lacking a vectorized batch
-    #: path (one warning per class per process, not one per call).
-    _batch_fallback_warned: set[str] = set()
-
     def __init__(self, graph: DiGraph):
         self.graph = graph
-        # Lazy: only the scalar width_of path reads the Python list; pool
-        # workers driving the vectorised batch path never build it.
-        self._in_degrees: list[int] | None = None
 
     @abstractmethod
-    def sample_rooted(self, root: int, rng: RandomSource) -> RRSet:
-        """Generate an RR set for the given root node."""
-
-    def sample(self, rng) -> RRSet:
-        """Generate a random RR set: uniform random root, fresh live world."""
-        source = resolve_rng(rng)
-        root = source.randrange(self.graph.n)
-        return self.sample_rooted(root, source)
-
-    def sample_many(self, count: int, rng) -> list[RRSet]:
-        """Generate ``count`` independent random RR sets via :meth:`sample`.
-
-        Going through :meth:`sample` keeps a subclass's root law (e.g.
-        weighted roots) instead of re-drawing uniform roots here.
-        """
-        source = resolve_rng(rng)
-        return [self.sample(source) for _ in range(count)]
-
-    def sample_batch(self, roots, rng):
+    def sample_batch(self, roots, rng) -> FlatRRCollection:
         """Generate one RR set per root, returned as a flat collection.
 
-        The base implementation loops :meth:`sample_rooted` (Python speed);
-        vectorised samplers override it with numpy-batched expansion.  Either
-        way the result is a :class:`~repro.rrset.flat_collection
-        .FlatRRCollection` holding the sets in root order, which is what the
-        algorithms consume.
-
-        Falling back here is a speed degradation, not a correctness
-        problem, so it is announced exactly once per sampler class instead
-        of silently running orders of magnitude slower.
+        The :class:`~repro.rrset.flat_collection.FlatRRCollection` holds the
+        sets in root order, which is what the algorithms consume.
         """
-        from repro.rrset.flat_collection import FlatRRCollection
 
-        cls_name = type(self).__name__
-        if cls_name not in RRSampler._batch_fallback_warned:
-            RRSampler._batch_fallback_warned.add(cls_name)
-            warnings.warn(
-                f"{cls_name} has no vectorized sample_batch; falling back to "
-                "the per-root Python sampling path (slow, single-core). "
-                "Distribution is unchanged.",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        source = resolve_rng(rng)
-        out = FlatRRCollection(self.graph.n, self.graph.m, track_traces=self.trace_edges)
-        for root in roots:
-            out.append(self.sample_rooted(int(root), source))
-        return out
-
-    def sample_random_batch(self, count: int, rng):
+    def sample_random_batch(self, count: int, rng) -> FlatRRCollection:
         """``count`` random-root RR sets as a flat collection."""
         source = resolve_rng(rng)
         roots = source.np.integers(0, self.graph.n, size=int(count), dtype=np.int64)
         return self.sample_batch(roots, source)
-
-    def width_of(self, nodes) -> int:
-        """``w(R)`` = Σ in-degree over the members (Equation 1)."""
-        if self._in_degrees is None:
-            self._in_degrees = self.graph.in_degrees().tolist()
-        in_degrees = self._in_degrees
-        return sum(in_degrees[v] for v in nodes)
 
 
 def make_rr_sampler(graph: DiGraph, model, trace_edges: bool = False) -> RRSampler:

@@ -194,7 +194,7 @@ class FlatRRCollection:
         return collection
 
     def append(self, rr: RRSet) -> None:
-        """Add one sampled :class:`RRSet` (the scalar samplers' output)."""
+        """Add one :class:`RRSet`, e.g. one that :meth:`to_rrsets` unpacked."""
         trace = None
         if self._track_traces:
             require(rr.trace is not None,

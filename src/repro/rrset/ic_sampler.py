@@ -1,31 +1,22 @@
 """RR-set sampling under the independent cascade model (Section 3.1).
 
-The scalar sampler is the paper's randomized reverse BFS: starting at the
-root, for each in-edge of a dequeued node flip a coin with the edge's
-probability and enqueue the (unvisited) source on success.
+The paper's randomized reverse BFS: starting at the root, for each in-edge
+of a dequeued node flip a coin with the edge's probability and enqueue the
+(unvisited) source on success.
 
-Fast path: when *all* in-edges of a node share one
-probability ``p`` — always true under the weighted-cascade convention,
-where ``p = 1/indeg`` — the number of successful flips among ``d`` edges is
-``Binomial(d, p)`` and the successful subset is uniform given its size.
-Drawing the count then ``random.sample``-ing the subset is distributionally
-identical to ``d`` per-edge flips but substantially faster for large ``d``.
-The ``use_fast_path`` flag exists so the ablation bench (and sceptical
-tests) can compare both implementations.
-
-Vectorised path (:meth:`ICRRSampler.sample_batch`): many RR sets are grown
-*simultaneously* as one level-synchronous reverse BFS over ``(sample,
-node)`` pairs.  Each wave gathers the in-edges of the whole frontier
-straight from ``DiGraph.in_ptr``/``in_idx``/``in_prob`` with a CSR
-range-gather, decides every coin in one ``rng.np.random(len(slice))`` call,
-and deduplicates newly reached pairs against a per-chunk visited matrix.
-Frontier nodes whose in-edges share one probability (the weighted-cascade
-common case) are additionally eligible for *geometric-skip* sampling: gaps
-between Bernoulli successes are Geometric(p), so for a run of ``T`` edges at
-probability ``p`` only ``≈ T·p`` geometric draws are needed instead of ``T``
-uniforms — same distribution, far fewer random numbers.  The whole batch is
-returned as a :class:`~repro.rrset.flat_collection.FlatRRCollection`, so no
-per-set Python objects are created on the hot path.
+:meth:`ICRRSampler.sample_batch` grows many RR sets *simultaneously* as one
+level-synchronous reverse BFS over ``(sample, node)`` pairs.  Each wave
+gathers the in-edges of the whole frontier straight from
+``DiGraph.in_ptr``/``in_idx``/``in_prob`` with a CSR range-gather, decides
+every coin in one ``rng.np.random(len(slice))`` call, and deduplicates newly
+reached pairs against a per-chunk visited matrix.  Frontier nodes whose
+in-edges share one probability (the weighted-cascade common case) are
+additionally eligible for *geometric-skip* sampling: gaps between Bernoulli
+successes are Geometric(p), so for a run of ``T`` edges at probability ``p``
+only ``≈ T·p`` geometric draws are needed instead of ``T`` uniforms — same
+distribution, far fewer random numbers.  The whole batch is returned as a
+:class:`~repro.rrset.flat_collection.FlatRRCollection`, so no per-set
+Python objects are created on the hot path.
 """
 
 from __future__ import annotations
@@ -37,7 +28,7 @@ import numpy as np
 from repro.graphs.digraph import DiGraph
 from repro.obs import runtime as obs
 from repro.obs.registry import SIZE_BUCKETS
-from repro.rrset.base import RRSampler, RRSet
+from repro.rrset.base import RRSampler
 from repro.rrset.flat_collection import FlatRRCollection
 from repro.utils.rng import RandomSource, resolve_rng
 from repro.utils.sorting import group_sort
@@ -83,11 +74,6 @@ class ICRRSampler(RRSampler):
 
     model_name = "IC"
 
-    #: Minimum in-degree for the Binomial fast path.  One numpy scalar
-    #: binomial draw costs about as much as ~30 plain ``random()`` calls, so
-    #: below this the per-edge loop is faster (measured in bench_ablation).
-    DEFAULT_FAST_PATH_MIN_DEGREE = 32
-
     #: Minimum concatenated edge count of a same-probability frontier group
     #: before geometric-skip sampling replaces per-edge uniform draws.  One
     #: batched uniform draw costs ~1 ns/edge, so the grouping argsort plus
@@ -112,10 +98,7 @@ class ICRRSampler(RRSampler):
     def __init__(
         self,
         graph: DiGraph,
-        use_fast_path: bool = True,
-        fast_path_min_degree: int | None = None,
         max_depth: int | None = None,
-        use_geometric_skip: bool = True,
         trace_edges: bool = False,
     ):
         super().__init__(graph)
@@ -125,18 +108,11 @@ class ICRRSampler(RRSampler):
         #: edge id from state it already computes, so a traced run samples
         #: the exact same sets as an untraced one.
         self.trace_edges = bool(trace_edges)
-        self.use_fast_path = use_fast_path
-        if fast_path_min_degree is None:
-            fast_path_min_degree = self.DEFAULT_FAST_PATH_MIN_DEGREE
-        self.fast_path_min_degree = fast_path_min_degree
         if max_depth is not None and max_depth < 1:
             raise ValueError(f"max_depth must be >= 1; got {max_depth}")
         #: Depth truncation for the time-critical (bounded-horizon) IC model:
         #: a node enters the RR set only via live paths of length <= max_depth.
         self.max_depth = max_depth
-        #: Allow geometric-skip draws for uniform-probability frontier groups
-        #: in the vectorised path (off = pure per-edge batched coin flips).
-        self.use_geometric_skip = use_geometric_skip
         #: Per node: the shared in-probability if uniform, NaN otherwise
         #: (computed straight off the CSR arrays — no Python materialisation,
         #: so pool workers sampling over a shared graph stay at the one-copy
@@ -148,13 +124,8 @@ class ICRRSampler(RRSampler):
         #: values (weighted cascade on a degree-diverse graph) ⇒ groups are
         #: shards and only high-degree hubs are worth it.
         self._distinct_uniform_probs = int(np.unique(finite).size)
-        in_deg = graph.in_degrees()
-        self._max_in_degree = int(in_deg.max()) if in_deg.size else 0
-        # Lazy caches: Python adjacency lists (scalar sample_rooted path
-        # only), the shared-p list mirror, and the vector-path degree array.
-        self._adj: tuple[list[list[int]], list[list[float]]] | None = None
-        self._uniform_list: list[float | None] | None = None
-        self._np_in_deg: np.ndarray | None = None
+        self._np_in_deg = graph.in_degrees()
+        self._max_in_degree = int(self._np_in_deg.max()) if self._np_in_deg.size else 0
 
     def _uniform_in_probs(self) -> np.ndarray:
         """Per-node shared in-probability (NaN when mixed or in-degree 0)."""
@@ -171,153 +142,22 @@ class ICRRSampler(RRSampler):
         out[uniform] = graph.in_prob[graph.in_ptr[:-1][uniform]]
         return out
 
-    def _adjacency(self) -> tuple[list[list[int]], list[list[float]]]:
-        """Python adjacency lists for the scalar loops (built on demand)."""
-        if self._adj is None:
-            self._adj = self.graph.in_adjacency()
-        return self._adj
-
-    def _uniform_prob_list(self) -> list[float | None]:
-        if self._uniform_list is None:
-            self._uniform_list = [
-                None if math.isnan(p) else p for p in self._np_unif_p.tolist()
-            ]
-        return self._uniform_list
-
-    def sample_rooted(self, root: int, rng: RandomSource) -> RRSet:
-        random01 = rng.py.random
-        sample_distinct = rng.py.sample
-        binomial = rng.np.binomial
-        in_adj, in_probs = self._adjacency()
-        uniform_prob = self._uniform_prob_list()
-        use_fast_path = self.use_fast_path
-        min_degree = self.fast_path_min_degree
-
-        if self.max_depth is not None:
-            return self._sample_rooted_bounded(root, rng)
-
-        in_ptr = self.graph.in_ptr
-        trace: list[int] | None = [] if self.trace_edges else None
-
-        visited = {root}
-        # A LIFO frontier is fine: traversal order does not change the set of
-        # nodes whose coins succeed, only the order coins are consumed.
-        frontier = [root]
-        width = 0
-        while frontier:
-            current = frontier.pop()
-            neighbors = in_adj[current]
-            degree = len(neighbors)
-            width += degree
-            if degree == 0:
-                continue
-            edge_base = int(in_ptr[current])
-            shared = uniform_prob[current]
-            if use_fast_path and shared is not None and degree >= min_degree:
-                successes = int(binomial(degree, shared))
-                if successes == 0:
-                    continue
-                # Sampling *positions* instead of neighbour values consumes
-                # the RNG identically (random.sample depends only on the
-                # population length), while also yielding the edge ids.
-                chosen = sample_distinct(range(degree), successes)
-                if trace is not None:
-                    trace.extend(edge_base + index for index in chosen)
-                for index in chosen:
-                    source_node = neighbors[index]
-                    if source_node not in visited:
-                        visited.add(source_node)
-                        frontier.append(source_node)
-            else:
-                probs = in_probs[current]
-                for index in range(degree):
-                    if random01() < probs[index]:
-                        if trace is not None:
-                            trace.append(edge_base + index)
-                        source_node = neighbors[index]
-                        if source_node not in visited:
-                            visited.add(source_node)
-                            frontier.append(source_node)
-        # Every in-edge of every visited node was (conceptually) examined, so
-        # the generation cost is |R| nodes + w(R) edges.
-        return RRSet(
-            root=root,
-            nodes=tuple(visited),
-            width=width,
-            cost=len(visited) + width,
-            trace=None if trace is None else tuple(trace),
-        )
-
-    def _sample_rooted_bounded(self, root: int, rng: RandomSource) -> RRSet:
-        """Depth-truncated variant for bounded-horizon IC.
-
-        Must be FIFO: with a stack, a node could be first touched via a
-        *long* live path, get marked visited, and wrongly lose the expansion
-        budget its shortest live path would have granted.  FIFO dequeues in
-        nondecreasing live distance, so each node's recorded depth is its
-        true live distance to the root and membership is exactly "live path
-        of length <= max_depth".
-        """
-        from collections import deque
-
-        random01 = rng.py.random
-        in_adj, in_probs = self._adjacency()
-        in_ptr = self.graph.in_ptr
-        max_depth = self.max_depth
-        trace: list[int] | None = [] if self.trace_edges else None
-
-        visited = {root}
-        queue = deque([(root, 0)])
-        width = 0
-        while queue:
-            current, depth = queue.popleft()
-            if depth >= max_depth:
-                continue
-            neighbors = in_adj[current]
-            probs = in_probs[current]
-            edge_base = int(in_ptr[current])
-            width += len(neighbors)
-            for index in range(len(neighbors)):
-                if random01() < probs[index]:
-                    if trace is not None:
-                        trace.append(edge_base + index)
-                    source_node = neighbors[index]
-                    if source_node not in visited:
-                        visited.add(source_node)
-                        queue.append((source_node, depth + 1))
-        return RRSet(
-            root=root,
-            nodes=tuple(visited),
-            width=width,
-            cost=len(visited) + width,
-            trace=None if trace is None else tuple(trace),
-        )
-
-    # ------------------------------------------------------------------
-    # Vectorised batch path
-    # ------------------------------------------------------------------
-    def _ensure_vector_state(self) -> None:
-        if self._np_in_deg is None:
-            self._np_in_deg = self.graph.in_degrees()
-
     def sample_batch(self, roots, rng) -> FlatRRCollection:
         """Generate one IC RR set per root with numpy-batched expansion.
 
-        Matches :meth:`sample_rooted` in distribution — including
-        ``max_depth`` truncation — but not coin-for-coin (different RNG
-        consumption order).  Two internal drivers share the wave-expansion
-        core:
+        Draws the per-root reverse BFS's distribution, including
+        ``max_depth`` truncation; the coin order is the batch's own.  Two
+        internal drivers share the wave-expansion core:
 
         * unbounded sampling uses a *streaming* reverse BFS: a pool of
           visited-bitmap rows grows many RR sets concurrently and admits the
           next root the moment a row frees up, so the frontier stays wide
           and numpy call overhead is amortised across the whole batch;
         * ``max_depth`` sampling processes fixed chunks level-synchronously
-          (every wave is one BFS depth), which realises the scalar FIFO
-          truncation semantics exactly.
+          (every wave is one BFS depth), so each member's depth is its live
+          distance and truncation is exact.
         """
         source = resolve_rng(rng)
-        self._ensure_vector_state()
         roots = np.ascontiguousarray(roots, dtype=np.int64)
         n = self.graph.n
         out = FlatRRCollection(n, self.graph.m, track_traces=self.trace_edges)
@@ -449,7 +289,7 @@ class ICRRSampler(RRSampler):
 
         Wave ``d`` expands exactly the nodes at live distance ``d``, so a
         member's recorded depth is its true live distance and truncation is
-        exact (the vectorised analogue of :meth:`_sample_rooted_bounded`).
+        exact.
         ``visited`` is an all-False scratch matrix with at least
         ``len(chunk_roots)`` rows; touched cells are cleared before return.
         """
@@ -590,7 +430,9 @@ class ICRRSampler(RRSampler):
         adjacency, so pool workers never materialise the whole graph as
         Python lists).  Coin order differs from the wave path but the
         sampled distribution is identical.  FIFO with explicit depths keeps
-        ``max_depth`` truncation exact (see :meth:`_sample_rooted_bounded`).
+        ``max_depth`` truncation exact: with a stack, a node first reached
+        via a long live path would be marked visited and lose the expansion
+        budget its shortest live path grants.
         ``widths`` is only accumulated for the bounded driver; the streaming
         driver derives widths from the final membership instead.
         """
@@ -669,9 +511,7 @@ class ICRRSampler(RRSampler):
         # probabilities (groups span most of the wave) or it has genuine
         # high-degree hubs (a single node is a long run by itself).
         if (
-            self.use_geometric_skip
-            and self.use_fast_path
-            and int(deg.sum()) >= self.GEOMETRIC_SKIP_MIN_EDGES
+            int(deg.sum()) >= self.GEOMETRIC_SKIP_MIN_EDGES
             and (
                 self._distinct_uniform_probs <= 8
                 or self._max_in_degree >= self.GEOMETRIC_SKIP_MIN_EDGES // 4

@@ -14,7 +14,7 @@ node ``v`` with CSR slice ``[lo, hi)`` and uniform draw ``r``, the live
 in-edge is the first position whose cumulative weight exceeds
 ``prefix[lo] + r``, and ``r >= Σ w`` is the "no neighbour" stop — while
 revisit detection reuses the IC engine's visited-bitmap row pool (one row
-per in-flight walk).  Same distribution as the scalar walk, not
+per in-flight walk).  Same distribution as one walk at a time, not
 draw-for-draw identical (batched draws consume the RNG in a different
 order); the whole batch lands in one packed
 :class:`~repro.rrset.flat_collection.FlatRRCollection`.
@@ -28,9 +28,9 @@ from repro.graphs.digraph import DiGraph
 from repro.graphs.weights import validate_lt_weights
 from repro.obs import runtime as obs
 from repro.obs.registry import SIZE_BUCKETS
-from repro.rrset.base import RRSampler, RRSet
+from repro.rrset.base import RRSampler
 from repro.rrset.flat_collection import FlatRRCollection
-from repro.utils.rng import RandomSource, resolve_rng
+from repro.utils.rng import resolve_rng
 from repro.utils.sorting import group_sort
 
 __all__ = ["LTRRSampler"]
@@ -42,7 +42,7 @@ def _pick_in_edge_index(in_weights, random01) -> int | None:
     Identical RNG consumption (no draw for in-degree-0 nodes, one uniform
     otherwise) and identical cumulative float arithmetic, so it picks the
     same in-edge — but returns its *position* in the CSR slice, which is
-    what edge tracing records.
+    what edge tracing records.  The batch's scalar tail uses it.
     """
     if not in_weights:
         return None
@@ -66,7 +66,7 @@ class LTRRSampler(RRSampler):
     BATCH_CHUNK_MAX = 8192
 
     #: When fewer than this many walks are still alive, the chunk's
-    #: stragglers are finished by the scalar walk: numpy call overhead
+    #: stragglers are finished one walk at a time: numpy call overhead
     #: dominates waves this small, and long walks (deep LT chains) would
     #: otherwise pay it once per hop.
     TAIL_CUTOVER_WALKS = 64
@@ -79,60 +79,8 @@ class LTRRSampler(RRSampler):
         #: (one uniform per visited node, same cumulative scan), so traced
         #: and untraced runs walk identical chains.
         self.trace_edges = bool(trace_edges)
-        # Lazy caches: Python adjacency for the scalar walk only (pool
-        # workers drive the vectorised path and never materialise it),
-        # plus the vectorised-path arrays built on first sample_batch call.
-        self._adj: tuple[list[list[int]], list[list[float]]] | None = None
-        self._cumw: np.ndarray | None = None
-        self._prefix: np.ndarray | None = None
-        self._np_in_deg: np.ndarray | None = None
-
-    def _adjacency(self) -> tuple[list[list[int]], list[list[float]]]:
-        if self._adj is None:
-            self._adj = self.graph.in_adjacency()
-        return self._adj
-
-    def sample_rooted(self, root: int, rng: RandomSource) -> RRSet:
-        random01 = rng.py.random
-        in_adj, in_weights = self._adjacency()
-        in_ptr = self.graph.in_ptr
-        trace: list[int] | None = [] if self.trace_edges else None
-
-        visited = {root}
-        order = [root]
-        current = root
-        steps = 0
-        while True:
-            index = _pick_in_edge_index(in_weights[current], random01)
-            steps += 1
-            if index is None:
-                break
-            if trace is not None:
-                trace.append(int(in_ptr[current]) + index)
-            parent = in_adj[current][index]
-            if parent in visited:
-                break
-            visited.add(parent)
-            order.append(parent)
-            current = parent
-        width = self.width_of(order)
-        # One draw (≈ one edge examined) per visited node, plus the nodes.
-        return RRSet(
-            root=root,
-            nodes=tuple(order),
-            width=width,
-            cost=len(order) + steps,
-            trace=None if trace is None else tuple(trace),
-        )
-
-    # ------------------------------------------------------------------
-    # Vectorised batch path
-    # ------------------------------------------------------------------
-    def _ensure_vector_state(self) -> None:
-        if self._cumw is not None:
-            return
-        self._np_in_deg = self.graph.in_degrees()
-        self._cumw = np.cumsum(self.graph.in_prob)
+        self._np_in_deg = graph.in_degrees()
+        self._cumw = np.cumsum(graph.in_prob)
         # prefix[i] = Σ in_prob[:i], so a node's in-weight mass over CSR
         # slice [lo, hi) is prefix[hi] - prefix[lo].
         self._prefix = np.concatenate(([0.0], self._cumw))
@@ -140,12 +88,11 @@ class LTRRSampler(RRSampler):
     def sample_batch(self, roots, rng) -> FlatRRCollection:
         """Generate one LT RR set per root with numpy-batched walk waves.
 
-        Matches :meth:`sample_rooted` in distribution but not draw-for-draw
-        (a wave draws one uniform per live walk at once, including walks at
-        in-degree-0 nodes whose scalar counterpart stops without drawing).
+        Draws the per-root walk's distribution but not draw-for-draw (a
+        wave draws one uniform per live walk at once, including walks at
+        in-degree-0 nodes, where a single walk stops without drawing).
         """
         source = resolve_rng(rng)
-        self._ensure_vector_state()
         roots = np.ascontiguousarray(roots, dtype=np.int64)
         n = self.graph.n
         out = FlatRRCollection(n, self.graph.m, track_traces=self.trace_edges)
@@ -323,7 +270,7 @@ class LTRRSampler(RRSampler):
             trace_ptr = np.zeros(batch + 1, dtype=np.int64)
             np.cumsum(t_sizes, out=trace_ptr[1:])
             trace_edges = t_e[t_order].astype(np.int32, copy=False)
-        # The scalar walk draws exactly |R| times (one per member, the last
+        # A walk draws exactly |R| times (one per member, the last
         # draw being the one that stops it), so cost = |R| + draws = 2|R|.
         out.extend_arrays(
             roots=chunk_roots,

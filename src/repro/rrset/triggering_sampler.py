@@ -5,16 +5,23 @@ in a queue; for every dequeued node, sample *its* triggering set and enqueue
 unvisited members; the RR set is everything visited.  IC and LT are special
 cases, and the dedicated samplers agree in distribution with this one
 (property-tested), but those exploit structure for speed.
+
+A triggering distribution draws one node's set per call, so this sampler
+has no vector form: its :meth:`TriggeringRRSampler.sample_batch` runs the
+queue traversal root by root.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
+import numpy as np
+
 from repro.graphs.digraph import DiGraph
-from repro.rrset.base import RRSampler, RRSet
+from repro.rrset.base import RRSampler
+from repro.rrset.flat_collection import FlatRRCollection
 from repro.diffusion.triggering import TriggeringDistribution
-from repro.utils.rng import RandomSource
+from repro.utils.rng import resolve_rng
 
 __all__ = ["TriggeringRRSampler"]
 
@@ -30,19 +37,37 @@ class TriggeringRRSampler(RRSampler):
             raise ValueError("distribution is bound to a different graph instance")
         distribution.validate()
         self.distribution = distribution
+        # Lazy: the Python in-degree list width_of sums over.
+        self._in_degrees: list[int] | None = None
 
-    def sample_rooted(self, root: int, rng: RandomSource) -> RRSet:
+    def sample_batch(self, roots, rng) -> FlatRRCollection:
+        """One RR set per root, each grown by its own queue traversal."""
+        source = resolve_rng(rng)
         distribution = self.distribution
-        visited = {root}
-        queue = deque([root])
-        examined = 0
-        while queue:
-            current = queue.popleft()
-            triggering_set = distribution.sample(current, rng)
-            examined += len(triggering_set)
-            for source_node in triggering_set:
-                if source_node not in visited:
-                    visited.add(source_node)
-                    queue.append(source_node)
-        width = self.width_of(visited)
-        return RRSet(root=root, nodes=tuple(visited), width=width, cost=len(visited) + examined)
+        out = FlatRRCollection(self.graph.n, self.graph.m)
+        for root in np.asarray(roots, dtype=np.int64).tolist():
+            visited = {root}
+            queue = deque([root])
+            examined = 0
+            while queue:
+                current = queue.popleft()
+                triggering_set = distribution.sample(current, source)
+                examined += len(triggering_set)
+                for source_node in triggering_set:
+                    if source_node not in visited:
+                        visited.add(source_node)
+                        queue.append(source_node)
+            out.append_arrays(
+                root=root,
+                members=np.fromiter(visited, dtype=np.int32, count=len(visited)),
+                width=self.width_of(visited),
+                cost=len(visited) + examined,
+            )
+        return out
+
+    def width_of(self, nodes) -> int:
+        """``w(R)`` = Σ in-degree over the members (Equation 1)."""
+        if self._in_degrees is None:
+            self._in_degrees = self.graph.in_degrees().tolist()
+        in_degrees = self._in_degrees
+        return sum(in_degrees[v] for v in nodes)

@@ -5,8 +5,16 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.core import WeightedRootSampler, weighted_lambda, weighted_tim_plus
-from repro.graphs import GraphBuilder, path_digraph, star_digraph
+from repro.api import ExecutionPolicy
+from repro.core import WeightedRootSampler, node_selection, weighted_lambda, weighted_tim_plus
+from repro.graphs import (
+    GraphBuilder,
+    gnm_random_digraph,
+    path_digraph,
+    star_digraph,
+    weighted_cascade,
+)
+from repro.parallel import ParallelSampler
 from repro.rrset import make_rr_sampler
 from repro.utils.rng import RandomSource
 
@@ -29,13 +37,46 @@ class TestWeightedRootSampler:
         assert roots.size == 600
         assert not np.any(roots == 3)
 
-    def test_scalar_sample_keeps_weighted_roots(self, small_wc_graph):
+    def test_random_batch_keeps_weighted_roots(self, small_wc_graph):
         weights = np.zeros(small_wc_graph.n)
         weights[5] = 1.0
         sampler = WeightedRootSampler(make_rr_sampler(small_wc_graph, "IC"), weights)
-        rng = RandomSource(3)
-        assert {sampler.sample(rng).root for _ in range(20)} == {5}
-        assert {rr.root for rr in sampler.sample_many(20, rng)} == {5}
+        assert set(sampler.sample_random_batch(20, RandomSource(3)).roots_array) == {5}
+
+    def test_parallel_shards_keep_weighted_roots(self):
+        # Random-root shards must draw through the wrapped sampler's root
+        # law: at any jobs value every root carries weight, and the shard
+        # bytes do not depend on the worker count.
+        graph = weighted_cascade(gnm_random_digraph(60, 300, rng=1))
+        weights = np.zeros(graph.n)
+        weights[5] = 1.0
+        batches = []
+        for jobs in (1, 2):
+            sampler = ParallelSampler(
+                WeightedRootSampler(make_rr_sampler(graph, "IC"), weights), jobs=jobs)
+            with warnings.catch_warnings():
+                # A weighted sampler cannot be rebuilt in a worker, so jobs=2
+                # degrades to in-process shards (and says so).
+                warnings.simplefilter("ignore", RuntimeWarning)
+                with sampler:
+                    batches.append(sampler.sample_random_batch(2000, rng=1))
+        for batch in batches:
+            assert set(batch.roots_array.tolist()) == {5}
+        for name in ("ptr_array", "nodes_array", "roots_array", "widths_array",
+                     "costs_array"):
+            assert np.array_equal(getattr(batches[0], name), getattr(batches[1], name))
+
+    @pytest.mark.parametrize("jobs", [None, 1, 2])
+    def test_node_selection_keeps_weighted_roots(self, jobs):
+        graph = weighted_cascade(gnm_random_digraph(60, 300, rng=1))
+        weights = np.zeros(graph.n)
+        weights[5] = 1.0
+        sampler = WeightedRootSampler(make_rr_sampler(graph, "IC"), weights)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            result = node_selection(graph, 1, 2000, sampler, rng=1,
+                                    policy=ExecutionPolicy(jobs=jobs))
+        assert result.seeds == [5]
 
     def test_explicit_roots_take_the_inner_batch_path(self, small_wc_graph):
         sampler = WeightedRootSampler(

@@ -78,9 +78,7 @@ class TestBoundedRRSets:
 
         sampler = ICRRSampler(small_wc_graph, max_depth=1)
         in_adj, _ = small_wc_graph.in_adjacency()
-        rng = RandomSource(6)
-        for _ in range(50):
-            rr = sampler.sample(rng)
+        for rr in sampler.sample_random_batch(50, RandomSource(6)).to_rrsets():
             allowed = set(in_adj[rr.root]) | {rr.root}
             assert set(rr.nodes) <= allowed
 
@@ -96,14 +94,9 @@ class TestBoundedRRSets:
         target = 3
         seeds = [1]
         exact = exact_activation_probability_ic(g, seeds, target, max_steps=horizon)
-        rng = RandomSource(7)
         runs = 8000
-        hits = 0
-        for _ in range(runs):
-            nodes = sampler.sample_rooted(target, rng).nodes
-            if any(s in nodes for s in seeds):
-                hits += 1
-        assert hits / runs == pytest.approx(exact, abs=0.03)
+        batch = sampler.sample_batch([target] * runs, RandomSource(7))
+        assert batch.coverage_count(seeds) / runs == pytest.approx(exact, abs=0.03)
 
     def test_tim_plus_with_bounded_model(self, small_wc_graph):
         from repro.core import tim_plus

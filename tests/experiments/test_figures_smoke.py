@@ -8,7 +8,6 @@ the cheap invariants (counts, orderings that are deterministic).
 import pytest
 
 from repro.experiments import (
-    ablation_ic_fast_path,
     figure3,
     figure4,
     figure5,
@@ -120,11 +119,3 @@ class TestHeuristicFigures:
         assert len(runtime.rows) == 2
         for row in spread.rows:
             assert row[2] >= 1.0 and row[3] >= 1.0
-
-
-class TestAblations:
-    def test_sampler_ablation_width_agreement(self):
-        result = ablation_ic_fast_path(datasets=("nethept",), scale=0.05, num_sets=2000)
-        row = result.rows[0]
-        mean_slow, mean_fast = row[4], row[5]
-        assert mean_fast == pytest.approx(mean_slow, rel=0.25)

@@ -47,14 +47,9 @@ class TestLemma2:
     def test_overlap_equals_activation(self, oracle_graph, target, seeds):
         exact_rho2 = exact_activation_probability_ic(oracle_graph, seeds, target)
         sampler = make_rr_sampler(oracle_graph, "IC")
-        rng = RandomSource(1000 + target)
         runs = 8000
-        overlaps = 0
-        for _ in range(runs):
-            nodes = sampler.sample_rooted(target, rng).nodes
-            if any(s in nodes for s in seeds):
-                overlaps += 1
-        rho1 = overlaps / runs
+        batch = sampler.sample_batch([target] * runs, RandomSource(1000 + target))
+        rho1 = batch.coverage_count(seeds) / runs
         assert rho1 == pytest.approx(exact_rho2, abs=0.03)
 
 

@@ -29,6 +29,16 @@ class TestRL701SeedProvenance:
         """})
         assert locations(run(root, "RL701")) == [("src/repro/run.py", 5, "RL701")]
 
+    def test_bad_adhoc_generator_at_random_batch_entry_point(self, project):
+        # sample_random_batch is the entry point every library caller uses.
+        root = project({"repro/run.py": """\
+            import numpy as np
+
+            def run(sampler):
+                return sampler.sample_random_batch(10, np.random.default_rng(1234))
+        """})
+        assert locations(run(root, "RL701")) == [("src/repro/run.py", 4, "RL701")]
+
     def test_bad_interprocedural_adhoc_built_in_another_module(self, project):
         # The flagged file never imports numpy: the ad-hoc generator is
         # manufactured in seeds.py and only its *value* crosses the module

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.diffusion import BoundedIndependentCascade
 from repro.graphs import gnm_random_digraph, uniform_random_lt, weighted_cascade
 from repro.parallel import (
     MAX_SHARDS,
@@ -245,12 +246,55 @@ class TestDegradation:
             inline = sampler.sample_random_batch(1200, rng=4)
         assert_collections_identical(degraded, inline)
 
-    def test_delegated_scalar_surface(self, wc_graph):
-        with ParallelSampler(make_rr_sampler(wc_graph, "IC"), jobs=1) as sampler:
-            rr = sampler.sample_rooted(3, RandomSource(2))
-            assert rr.root == 3
+    def test_delegated_surface(self, wc_graph):
+        base = make_rr_sampler(wc_graph, "IC")
+        with ParallelSampler(base, jobs=1) as sampler:
             assert sampler.model_name == "IC"
             assert sampler.graph is wc_graph
-            assert sampler.width_of([3]) == wc_graph.in_degree(3)
-            # Tuning knobs read through to the base sampler.
-            assert sampler.use_fast_path is True
+            assert sampler.base_sampler is base
+            # Sampler attributes read through to the base sampler.
+            assert sampler.max_depth is None
+            assert sampler.trace_edges is False
+
+
+def traced_arrays(collection):
+    return collection_arrays(collection) + (
+        collection.trace_ptr_array,
+        collection.trace_edges_array,
+    )
+
+
+class TestWorkerSpec:
+    """A worker rebuilds the sampler from its spec alone: ``kind``,
+    ``max_depth`` and ``trace_edges``; a spawned pool must reproduce the
+    inline shards byte for byte, traces included."""
+
+    def test_spec_carries_only_the_model_settings(self, wc_graph, lt_graph):
+        from repro.parallel.worker import sampler_spec
+        from repro.rrset.ic_sampler import ICRRSampler
+        from repro.rrset.lt_sampler import LTRRSampler
+
+        assert sampler_spec(ICRRSampler(wc_graph, max_depth=3, trace_edges=True)) == {
+            "kind": "ic", "max_depth": 3, "trace_edges": True}
+        assert sampler_spec(LTRRSampler(lt_graph, trace_edges=True)) == {
+            "kind": "lt", "trace_edges": True}
+
+    @pytest.mark.parametrize("model,graph_fixture,traced", [
+        (BoundedIndependentCascade(2), "wc_graph", False),
+        (BoundedIndependentCascade(2), "wc_graph", True),
+        ("LT", "lt_graph", True),
+    ], ids=["bounded-ic", "bounded-ic-traced", "lt-traced"])
+    def test_pool_matches_inline(self, model, graph_fixture, traced, request):
+        graph = request.getfixturevalue(graph_fixture)
+        results = []
+        for jobs in (1, 2):
+            base = make_rr_sampler(graph, model, trace_edges=traced)
+            with ParallelSampler(base, jobs=jobs) as sampler:
+                results.append(sampler.sample_random_batch(3000, rng=61))
+                if jobs == 2:
+                    assert sampler._state.get("executor") is not None  # a real pool
+        first, second = results
+        assert first.has_traces == second.has_traces == traced
+        arrays = traced_arrays if traced else collection_arrays
+        for left, right in zip(arrays(first), arrays(second)):
+            assert np.array_equal(left, right)

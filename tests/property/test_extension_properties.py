@@ -39,7 +39,7 @@ class TestBoundedRRProperties:
         n, edges = data
         g = from_edges(edges, num_nodes=n)
         sampler = ICRRSampler(g, max_depth=horizon)
-        rr = sampler.sample(RandomSource(seed))
+        [rr] = sampler.sample_random_batch(1, RandomSource(seed)).to_rrsets()
         assert rr.root in rr.nodes
         # Depth-limited reverse reachability (all edges assumed live).
         from collections import deque
@@ -70,10 +70,8 @@ class TestBoundedRRProperties:
         short_sampler = ICRRSampler(g, max_depth=1)
         long_sampler = ICRRSampler(g, max_depth=3)
         runs = 300
-        rng_a = RandomSource(seed)
-        rng_b = RandomSource(seed)
-        short_mean = sum(len(short_sampler.sample(rng_a)) for _ in range(runs)) / runs
-        long_mean = sum(len(long_sampler.sample(rng_b)) for _ in range(runs)) / runs
+        short_mean = short_sampler.sample_random_batch(runs, RandomSource(seed)).set_sizes().mean()
+        long_mean = long_sampler.sample_random_batch(runs, RandomSource(seed)).set_sizes().mean()
         assert long_mean >= short_mean - 0.5
 
 
@@ -94,8 +92,8 @@ class TestWeightedSamplerProperties:
         if weights.sum() == 0.0:
             return
         sampler = WeightedRootSampler(make_rr_sampler(g, "IC"), weights)
-        rng = RandomSource(seed)
-        assert all(sampler.sample(rng).root != zero_node for _ in range(100))
+        roots = sampler.sample_random_batch(100, RandomSource(seed)).roots_array
+        assert not (roots == zero_node).any()
 
     @given(probabilistic_graphs(), st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=40, deadline=None)
@@ -103,7 +101,7 @@ class TestWeightedSamplerProperties:
         n, edges = data
         g = from_edges(edges, num_nodes=n)
         sampler = WeightedRootSampler(make_rr_sampler(g, "IC"), np.ones(n))
-        rr = sampler.sample(RandomSource(seed))
+        [rr] = sampler.sample_random_batch(1, RandomSource(seed)).to_rrsets()
         assert rr.root in rr.nodes
         assert len(set(rr.nodes)) == len(rr.nodes)
         assert 0 <= rr.root < n

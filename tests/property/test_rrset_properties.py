@@ -41,8 +41,7 @@ class TestICSamplerProperties:
         n, edges = data
         g = from_edges(edges, num_nodes=n)
         sampler = ICRRSampler(g)
-        rng = RandomSource(seed)
-        rr = sampler.sample(rng)
+        [rr] = sampler.sample_random_batch(1, RandomSource(seed)).to_rrsets()
         # Root membership.
         assert rr.root in rr.nodes
         # No duplicates.
@@ -57,14 +56,17 @@ class TestICSamplerProperties:
 
     @given(weighted_graphs(), st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=40, deadline=None)
-    def test_fast_and_slow_paths_share_invariants(self, data, seed):
+    def test_skip_and_flip_paths_share_invariants(self, data, seed):
         n, edges = data
         g = from_edges(edges, num_nodes=n)
-        for fast in (True, False):
-            sampler = ICRRSampler(g, use_fast_path=fast)
-            rr = sampler.sample(RandomSource(seed))
-            assert rr.root in rr.nodes
-            assert set(rr.nodes) <= reverse_reachable_to(g, rr.root)
+        for skip_min_edges in (1, ICRRSampler.GEOMETRIC_SKIP_MIN_EDGES):
+            sampler = ICRRSampler(g)
+            sampler.GEOMETRIC_SKIP_MIN_EDGES = skip_min_edges
+            # A full-width wave, so the forced skip path engages.
+            sampler.TAIL_CUTOVER_PAIRS = 0
+            for rr in sampler.sample_random_batch(20, RandomSource(seed)).to_rrsets():
+                assert rr.nodes[0] == rr.root
+                assert set(rr.nodes) <= reverse_reachable_to(g, rr.root)
 
 
 class TestLTSamplerProperties:
@@ -74,7 +76,7 @@ class TestLTSamplerProperties:
         n, edges = data
         g = from_edges(edges, num_nodes=n)
         sampler = LTRRSampler(g)
-        rr = sampler.sample(RandomSource(seed))
+        [rr] = sampler.sample_random_batch(1, RandomSource(seed)).to_rrsets()
         assert rr.root in rr.nodes
         assert rr.nodes[0] == rr.root
         assert len(set(rr.nodes)) == len(rr.nodes)

@@ -47,42 +47,31 @@ class TestDispatch:
 class TestUniformRootSampling:
     def test_roots_cover_graph(self, small_wc_graph):
         sampler = make_rr_sampler(small_wc_graph, "IC")
-        rng = RandomSource(1)
-        roots = {sampler.sample(rng).root for _ in range(600)}
+        roots = set(sampler.sample_random_batch(600, RandomSource(1)).roots_array.tolist())
         # 600 uniform draws over 60 nodes should hit nearly all of them.
         assert len(roots) > 50
 
     def test_width_of_helper(self, small_wc_graph):
-        sampler = make_rr_sampler(small_wc_graph, "IC")
+        sampler = make_rr_sampler(
+            small_wc_graph, TriggeringModel(ICTriggering(small_wc_graph)))
         in_degrees = small_wc_graph.in_degrees()
         assert sampler.width_of([0, 1]) == int(in_degrees[0] + in_degrees[1])
 
 
-class TestBatchFallbackWarning:
-    def test_unvectorized_sampler_warns_once(self, small_wc_graph):
+class TestSampleBatchIsTheSamplingPath:
+    def test_sampler_without_sample_batch_is_abstract(self, small_wc_graph):
         from repro.rrset.base import RRSampler
-        from repro.rrset.ic_sampler import ICRRSampler
 
-        class SlowpokeSampler(RRSampler):
-            model_name = "slowpoke"
+        class Unfinished(RRSampler):
+            model_name = "unfinished"
 
-            def __init__(self, graph):
-                super().__init__(graph)
-                self._inner = ICRRSampler(graph)
+        with pytest.raises(TypeError, match="sample_batch"):
+            Unfinished(small_wc_graph)
 
-            def sample_rooted(self, root, rng):
-                return self._inner.sample_rooted(root, rng)
-
-        sampler = SlowpokeSampler(small_wc_graph)
-        with pytest.warns(RuntimeWarning, match="no vectorized sample_batch"):
-            sampler.sample_batch([0, 1, 2], RandomSource(1))
-        # Warned once per class, not once per call.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            sampler.sample_batch([0, 1, 2], RandomSource(2))
-
-    def test_vectorized_samplers_do_not_warn(self, small_wc_graph):
+    def test_no_sampler_warns(self, small_wc_graph):
+        triggering = TriggeringModel(ICTriggering(small_wc_graph))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             make_rr_sampler(small_wc_graph, "IC").sample_batch([0, 1], RandomSource(3))
             make_rr_sampler(small_wc_graph, "LT").sample_batch([0, 1], RandomSource(4))
+            make_rr_sampler(small_wc_graph, triggering).sample_batch([0, 1], RandomSource(5))

@@ -9,46 +9,44 @@ from repro.graphs import DiGraph, gnm_random_digraph, path_digraph, uniform_rand
 from repro.graphs.transforms import reverse_reachable_to
 from repro.rrset import LTRRSampler
 from repro.utils.rng import RandomSource
+from tests.rrset.sampler_oracle import oracle_batch
+
+
+def members(batch, i):
+    return batch.nodes_array[batch.ptr_array[i] : batch.ptr_array[i + 1]].tolist()
 
 
 class TestStructure:
     def test_weight_one_chain_walks_to_source(self):
         g = path_digraph(4, prob=1.0)
-        rr = LTRRSampler(g).sample_rooted(3, RandomSource(1))
-        assert set(rr.nodes) == {0, 1, 2, 3}
+        batch = LTRRSampler(g).sample_batch([3], RandomSource(1))
+        assert members(batch, 0) == [3, 2, 1, 0]
 
     def test_rr_set_is_a_path(self, small_lt_graph):
         # LT RR sets are random in-walks: node i+1 of the order must be an
         # in-neighbour of node i.
-        sampler = LTRRSampler(small_lt_graph)
+        batch = LTRRSampler(small_lt_graph).sample_random_batch(50, RandomSource(2))
         in_adj, _ = small_lt_graph.in_adjacency()
-        rng = RandomSource(2)
-        for _ in range(50):
-            rr = sampler.sample(rng)
-            nodes = list(rr.nodes)
-            for i in range(len(nodes) - 1):
-                assert nodes[i + 1] in in_adj[nodes[i]]
+        for i in range(len(batch)):
+            nodes = members(batch, i)
+            for a, b in zip(nodes, nodes[1:]):
+                assert b in in_adj[a]
 
     def test_root_first(self, small_lt_graph):
-        sampler = LTRRSampler(small_lt_graph)
-        rng = RandomSource(3)
-        for _ in range(20):
-            rr = sampler.sample(rng)
-            assert rr.nodes[0] == rr.root
+        batch = LTRRSampler(small_lt_graph).sample_random_batch(20, RandomSource(3))
+        for i, root in enumerate(batch.roots_array.tolist()):
+            assert members(batch, i)[0] == root
 
     def test_no_duplicates(self, small_lt_graph):
-        sampler = LTRRSampler(small_lt_graph)
-        rng = RandomSource(4)
-        for _ in range(50):
-            rr = sampler.sample(rng)
-            assert len(set(rr.nodes)) == len(rr.nodes)
+        batch = LTRRSampler(small_lt_graph).sample_random_batch(50, RandomSource(4))
+        for i in range(len(batch)):
+            nodes = members(batch, i)
+            assert len(set(nodes)) == len(nodes)
 
     def test_subset_of_reverse_reachable(self, small_lt_graph):
-        sampler = LTRRSampler(small_lt_graph)
-        rng = RandomSource(5)
-        for _ in range(50):
-            rr = sampler.sample(rng)
-            assert set(rr.nodes) <= reverse_reachable_to(small_lt_graph, rr.root)
+        batch = LTRRSampler(small_lt_graph).sample_random_batch(50, RandomSource(5))
+        for i, root in enumerate(batch.roots_array.tolist()):
+            assert set(members(batch, i)) <= reverse_reachable_to(small_lt_graph, root)
 
     def test_rejects_invalid_weights(self):
         g = DiGraph(3, [0, 1], [2, 2], [0.8, 0.8])
@@ -57,44 +55,24 @@ class TestStructure:
 
 
 class TestStatistics:
-    def test_single_edge_inclusion_rate(self):
-        g = DiGraph(2, [0], [1], [0.4])
-        sampler = LTRRSampler(g)
-        rng = RandomSource(6)
-        hits = sum(0 in sampler.sample_rooted(1, rng).nodes for _ in range(4000))
-        assert hits / 4000 == pytest.approx(0.4, abs=0.03)
-
     def test_walk_picks_proportional_to_weight(self):
         g = DiGraph(3, [0, 1], [2, 2], [0.25, 0.75])
-        sampler = LTRRSampler(g)
-        rng = RandomSource(7)
-        picked_zero = 0
-        picked_one = 0
-        for _ in range(4000):
-            nodes = sampler.sample_rooted(2, rng).nodes
-            if 0 in nodes:
-                picked_zero += 1
-            if 1 in nodes:
-                picked_one += 1
-        assert picked_zero / 4000 == pytest.approx(0.25, abs=0.03)
-        assert picked_one / 4000 == pytest.approx(0.75, abs=0.03)
+        batch = LTRRSampler(g).sample_batch(np.full(4000, 2), RandomSource(7))
+        picked = [members(batch, i)[1:] for i in range(len(batch))]
+        assert sum(nodes == [0] for nodes in picked) / 4000 == pytest.approx(0.25, abs=0.03)
+        assert sum(nodes == [1] for nodes in picked) / 4000 == pytest.approx(0.75, abs=0.03)
 
     def test_width_accounting(self, small_lt_graph):
-        sampler = LTRRSampler(small_lt_graph)
+        batch = LTRRSampler(small_lt_graph).sample_random_batch(30, RandomSource(8))
         in_degrees = small_lt_graph.in_degrees()
-        rng = RandomSource(8)
-        for _ in range(30):
-            rr = sampler.sample(rng)
-            assert rr.width == int(sum(in_degrees[v] for v in rr.nodes))
+        for i in range(len(batch)):
+            assert batch.widths_array[i] == int(in_degrees[members(batch, i)].sum())
 
     def test_cost_counts_walk_steps(self, small_lt_graph):
-        sampler = LTRRSampler(small_lt_graph)
-        rng = RandomSource(9)
-        for _ in range(30):
-            rr = sampler.sample(rng)
-            # Exactly one draw per visited node (the final draw terminates),
-            # so cost = |R| nodes + |R| draws.
-            assert rr.cost == 2 * len(rr.nodes)
+        batch = LTRRSampler(small_lt_graph).sample_random_batch(30, RandomSource(9))
+        # Exactly one draw per visited node (the final draw terminates),
+        # so cost = |R| nodes + |R| draws.
+        assert np.array_equal(batch.costs_array, 2 * batch.set_sizes())
 
 
 class TestCycleTermination:
@@ -102,10 +80,9 @@ class TestCycleTermination:
         from repro.graphs import cycle_digraph
 
         g = cycle_digraph(5, prob=1.0)
-        sampler = LTRRSampler(g)
-        rr = sampler.sample_rooted(0, RandomSource(10))
-        # Walks the full cycle then stops on revisit.
-        assert set(rr.nodes) == {0, 1, 2, 3, 4}
+        batch = LTRRSampler(g).sample_batch([0], RandomSource(10))
+        # Walks the full cycle backwards, then stops on the revisit of 0.
+        assert members(batch, 0) == [0, 4, 3, 2, 1]
 
 
 class TestVectorizedBatch:
@@ -146,15 +123,11 @@ class TestVectorizedBatch:
             members = nodes[ptr[i] : ptr[i + 1]]
             assert batch.widths_array[i] == in_deg[members].sum()
 
-    def test_distribution_matches_scalar(self, lt_graph):
-        sampler = LTRRSampler(lt_graph)
-        rng = RandomSource(4)
-        scalar = [sampler.sample(rng) for _ in range(3000)]
-        batch = sampler.sample_random_batch(3000, RandomSource(5))
-        scalar_mean = sum(len(rr) for rr in scalar) / len(scalar)
-        assert batch.set_sizes().mean() == pytest.approx(scalar_mean, rel=0.1)
-        scalar_width = sum(rr.width for rr in scalar) / len(scalar)
-        assert batch.widths_array.mean() == pytest.approx(scalar_width, rel=0.1)
+    def test_distribution_matches_oracle(self, lt_graph):
+        oracle = oracle_batch(lt_graph, "LT", 3000, seed=4)
+        batch = LTRRSampler(lt_graph).sample_random_batch(3000, RandomSource(5))
+        assert batch.set_sizes().mean() == pytest.approx(oracle.set_sizes().mean(), rel=0.1)
+        assert batch.widths_array.mean() == pytest.approx(oracle.widths_array.mean(), rel=0.1)
 
     def test_single_edge_inclusion_rate_batched(self):
         g = DiGraph(2, [0], [1], [0.4])

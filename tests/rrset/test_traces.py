@@ -31,23 +31,6 @@ class TestTracingIsRngInvariant:
 
     @pytest.mark.parametrize("maker,graph_fixture", [
         (lambda g, t: ICRRSampler(g, trace_edges=t), "ic_graph"),
-        (lambda g, t: ICRRSampler(g, fast_path_min_degree=1, trace_edges=t), "ic_graph"),
-        (lambda g, t: ICRRSampler(g, max_depth=2, trace_edges=t), "ic_graph"),
-        (lambda g, t: LTRRSampler(g, trace_edges=t), "lt_graph"),
-    ], ids=["ic", "ic-fast-path", "ic-bounded", "lt"])
-    def test_scalar_path(self, maker, graph_fixture, request):
-        graph = request.getfixturevalue(graph_fixture)
-        plain = maker(graph, False)
-        traced = maker(graph, True)
-        for seed in range(40):
-            a = plain.sample_rooted(seed % graph.n, RandomSource(seed))
-            b = traced.sample_rooted(seed % graph.n, RandomSource(seed))
-            assert sorted(a.nodes) == sorted(b.nodes)
-            assert (a.width, a.cost) == (b.width, b.cost)
-            assert a.trace is None and b.trace is not None
-
-    @pytest.mark.parametrize("maker,graph_fixture", [
-        (lambda g, t: ICRRSampler(g, trace_edges=t), "ic_graph"),
         (lambda g, t: ICRRSampler(g, max_depth=2, trace_edges=t), "ic_graph"),
         (lambda g, t: LTRRSampler(g, trace_edges=t), "lt_graph"),
     ], ids=["ic", "ic-bounded", "lt"])
@@ -187,15 +170,15 @@ class TestTraceInvariants:
 class TestCollectionTraceContract:
     def test_traced_collection_rejects_untraced_appends(self, ic_graph):
         traced = FlatRRCollection(ic_graph.n, ic_graph.m, track_traces=True)
-        plain_set = ICRRSampler(ic_graph).sample_rooted(0, RandomSource(1))
+        plain_set = ICRRSampler(ic_graph).sample_batch([0], RandomSource(1)).to_rrsets()[0]
         with pytest.raises(ValueError, match="carries none"):
             traced.append(plain_set)
 
     def test_untraced_collection_drops_rrset_traces_but_rejects_arrays(self, ic_graph):
         plain = FlatRRCollection(ic_graph.n, ic_graph.m)
-        traced_set = ICRRSampler(ic_graph, trace_edges=True).sample_rooted(
-            0, RandomSource(1)
-        )
+        traced_set = ICRRSampler(ic_graph, trace_edges=True).sample_batch(
+            [0], RandomSource(1)
+        ).to_rrsets()[0]
         plain.append(traced_set)  # trace silently dropped: storage is opt-in
         assert len(plain) == 1 and not plain.has_traces
         # ...but handing packed trace arrays to an untracked collection is a
