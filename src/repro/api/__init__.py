@@ -3,8 +3,8 @@
 Three layers, consumed together or separately:
 
 * :class:`~repro.api.policy.ExecutionPolicy` — one frozen, validated
-  object for every execution knob (jobs, trace_edges, ε, ℓ, sketch
-  reuse) with explicit env/CLI/call-site resolution;
+  object for every execution knob (jobs, trace_edges, ε, ℓ, metrics,
+  deadline, algorithm) with explicit env/CLI/call-site resolution;
 * :class:`~repro.api.session.InfluenceSession` — the Python caller's
   facade owning graph + dynamic overlay + sketch + pool lifecycle;
 * :mod:`repro.api.ops` — the versioned typed request/response operations

@@ -28,6 +28,14 @@ Responses carry ``schema_version`` so clients can detect protocol drift;
 round-trip: ``parse_request(req.to_wire()) == req`` and
 ``response_from_wire(resp.to_wire()) == resp`` (modulo float latency),
 which the golden-fixture suite in ``tests/api`` pins.
+
+The three reads have one handler, :func:`answer`: given a
+:class:`~repro.sketch.index.SketchIndex` it builds the ``select``,
+``spread`` or ``marginal_gain`` response, and both fronts call it once they
+hold an index — the service after its LRU lookup (stamping ``cache``), the
+session after growing its sketch for the request's ``k``.  Updates and
+stats stay with each front, which owns the graph and the counters;
+:func:`as_edge_update` is the one coercion of an update's accepted shapes.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ from repro.utils.validation import require
 
 if TYPE_CHECKING:
     from repro.dynamic.updates import EdgeUpdate
+    from repro.sketch.index import SketchIndex
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -59,6 +68,8 @@ __all__ = [
     "ErrorResponse",
     "parse_request",
     "response_from_wire",
+    "answer",
+    "as_edge_update",
 ]
 
 #: Protocol version stamped on every response (and accepted on requests).
@@ -546,3 +557,54 @@ def response_from_wire(wire: dict[str, Any]) -> Response:
         return cls(**result, **common)
     except TypeError as exc:
         raise ApiError("bad_request", f"malformed {op} result payload: {exc}") from None
+
+
+# ----------------------------------------------------------------------
+# The read handler and the update coercion both fronts share
+# ----------------------------------------------------------------------
+def answer(index: SketchIndex, request: Request) -> Response:
+    """Answer a ``select``, ``spread`` or ``marginal_gain`` request on ``index``.
+
+    The one place those three responses are built.  The envelope (``id``,
+    ``cache``, ``latency_ms``) is the calling front's to stamp.  An update
+    or stats request is not a read of the sketch and raises
+    :class:`ApiError`; each front answers those itself.
+    """
+    if isinstance(request, SelectRequest):
+        result = index.select(request.k, forced_include=request.include,
+                              forced_exclude=request.exclude)
+        return SelectResponse(
+            seeds=result.seeds,
+            coverage_fraction=result.fraction,
+            estimated_spread=index.num_nodes * result.fraction,
+            num_rr_sets=index.num_sets,
+        )
+    if isinstance(request, SpreadRequest):
+        # One postings union; n * F_R(S) is what index.spread returns.
+        fraction = index.coverage_fraction(request.seeds)
+        return SpreadResponse(
+            spread=index.num_nodes * fraction,
+            coverage_fraction=fraction,
+            num_rr_sets=index.num_sets,
+        )
+    if isinstance(request, MarginalRequest):
+        return MarginalResponse(
+            gain=index.marginal_gain(request.seeds, request.candidate),
+            num_rr_sets=index.num_sets,
+        )
+    raise ApiError("bad_request", f"{request.op!r} is not a read of the sketch")
+
+
+def as_edge_update(update: EdgeUpdate | UpdateRequest | dict[str, Any]) -> EdgeUpdate:
+    """The :class:`~repro.dynamic.updates.EdgeUpdate` an update names.
+
+    Accepts an ``EdgeUpdate``, an :class:`UpdateRequest` or a request dict
+    (with or without the ``"op"`` envelope).
+    """
+    from repro.dynamic.updates import EdgeUpdate, parse_update
+
+    if isinstance(update, UpdateRequest):
+        return update.to_edge_update()
+    if isinstance(update, EdgeUpdate):
+        return update
+    return parse_update(update)

@@ -31,7 +31,7 @@ from typing import Any
 
 from repro.utils.validation import check_ell, check_epsilon, require
 
-__all__ = ["ExecutionPolicy"]
+__all__ = ["ExecutionPolicy", "SERVING_POLICY"]
 
 _TRUE_STRINGS = frozenset({"1", "true", "yes", "on"})
 _FALSE_STRINGS = frozenset({"0", "false", "no", "off"})
@@ -81,10 +81,6 @@ class ExecutionPolicy:
     epsilon, ell:
         Approximation slack and failure exponent — the TIM guarantee is
         ``(1 − 1/e − ε)`` with probability ``≥ 1 − n^{−ℓ}``.
-    reuse_sketch:
-        Whether sketch-owning layers (:class:`InfluenceSession`) keep and
-        warm-extend one RR sketch across calls (default) or rebuild cold
-        every time (ablation / strict-independence runs).
     metrics:
         The resolved :mod:`repro.obs` instrumentation switch (span tracing
         + counters).  Like every policy field it layers library default →
@@ -113,7 +109,6 @@ class ExecutionPolicy:
     trace_edges: bool = False
     epsilon: float = 0.1
     ell: float = 1.0
-    reuse_sketch: bool = True
     metrics: bool = False
     deadline_ms: float | None = None
     algorithm: str = "tim"
@@ -125,8 +120,6 @@ class ExecutionPolicy:
             require(self.jobs >= 0, f"jobs must be >= 0 (0 = all cores); got {self.jobs}")
         require(isinstance(self.trace_edges, bool),
                 f"trace_edges must be a bool; got {self.trace_edges!r}")
-        require(isinstance(self.reuse_sketch, bool),
-                f"reuse_sketch must be a bool; got {self.reuse_sketch!r}")
         require(isinstance(self.metrics, bool),
                 f"metrics must be a bool; got {self.metrics!r}")
         object.__setattr__(self, "epsilon", float(self.epsilon))
@@ -242,3 +235,11 @@ class ExecutionPolicy:
     # ------------------------------------------------------------------
     def as_dict(self) -> dict[str, Any]:
         return {name: getattr(self, name) for name in self.field_names()}
+
+
+#: The defaults of a serving sketch: :class:`~repro.sketch.service.InfluenceService`
+#: builds under it when given no policy, and the ``sketch``/``serve`` CLI
+#: subcommands layer ``REPRO_*`` and their flags over it.  Its ε = 0.3 is
+#: coarser than the library-wide 0.1, because a serving sketch trades
+#: tightness for build time.
+SERVING_POLICY = ExecutionPolicy(epsilon=0.3)

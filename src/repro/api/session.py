@@ -10,7 +10,12 @@ worker-pool lifecycle behind it — all configured by a single
 Where :class:`~repro.sketch.service.InfluenceService` is the *multi-graph
 LRU server* (JSONL front, cache statistics), the session is the *Python
 caller's* surface: one graph, one model, typed results, deterministic under
-a seed, and a context manager so the pool can never leak::
+a seed, and a context manager so the pool can never leak.  Both answer reads
+through the one handler :func:`repro.api.ops.answer`; what differs is how
+each gets its index.  The session grows its sketch until it is
+``policy.epsilon``-adequate for the request's ``k`` (``default_k`` for
+spread and marginal-gain reads); the service keeps whatever θ its cached
+index was built with::
 
     from repro import ExecutionPolicy, InfluenceSession
 
@@ -31,22 +36,20 @@ across worker counts (``policy.jobs`` never changes results).
 from __future__ import annotations
 
 from collections.abc import Iterable
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, cast
 
 from repro.api.ops import (
-    SelectRequest,
-    SpreadRequest,
-    MarginalRequest,
-    UpdateRequest,
-    StatsRequest,
+    ApiError,
     Request,
     Response,
+    SelectRequest,
     SelectResponse,
-    SpreadResponse,
-    MarginalResponse,
-    UpdateResponse,
+    StatsRequest,
     StatsResponse,
-    ApiError,
+    UpdateRequest,
+    UpdateResponse,
+    answer,
+    as_edge_update,
     parse_request,
 )
 from repro.api.policy import ExecutionPolicy
@@ -75,8 +78,7 @@ class InfluenceSession:
         Diffusion model name or instance for every query in this session.
     policy:
         The :class:`ExecutionPolicy` (or a dict of its fields / ``None``
-        for defaults) governing the worker pool, tracing, accuracy, and
-        sketch reuse.
+        for defaults) governing the worker pool, tracing and accuracy.
     rng:
         Seed or source; all sampling determinism flows from it.
     default_k:
@@ -144,34 +146,11 @@ class InfluenceSession:
     # ------------------------------------------------------------------
     # Sketch lifecycle
     # ------------------------------------------------------------------
-    def _build_index(self, k: int) -> SketchIndex:
-        from repro.sketch.index import SketchIndex
-
-        return SketchIndex.build(
-            self.graph,
-            self._model,
-            k=k,
-            epsilon=self.policy.epsilon,
-            ell=self.policy.ell,
-            rng=self._rng.spawn(),
-            policy=self.policy,
-        )
-
     def _ensure_index(self, k: int | None = None) -> SketchIndex:
-        """Build (or rebuild, when reuse is off) the sketch for budget ``k``."""
-        require(not self._closed, "session is closed")
-        k = self.default_k if k is None else int(k)
-        if self._index is None:
-            self._index = self._build_index(k)
-        elif not self.policy.reuse_sketch:
-            self._index.close()
-            self._index = self._build_index(k)
-        else:
-            # Warm path: grow (never resample) until ε-adequate for this k.
-            self._index.ensure_epsilon(
-                k, self.policy.epsilon, ell=self.policy.ell,
-                rng=self._rng.spawn(), jobs=self.policy.jobs,
-            )
+        """The sketch, built or grown (never resampled) until it is
+        ``policy.epsilon``-adequate for budget ``k``."""
+        self.ensure(epsilon=self.policy.epsilon, k=k)
+        assert self._index is not None
         return self._index
 
     def ensure(self, *, epsilon: float | None = None, theta: int | None = None,
@@ -236,14 +215,9 @@ class InfluenceSession:
     def select(self, k: int, include: Iterable[int] = (),
                exclude: Iterable[int] = ()) -> SelectResponse:
         """Greedy seed selection for budget ``k`` over the (ensured) sketch."""
-        index = self._ensure_index(k)
-        result = index.select(k, forced_include=include, forced_exclude=exclude)
-        return SelectResponse(
-            seeds=list(result.seeds),
-            coverage_fraction=result.fraction,
-            estimated_spread=index.num_nodes * result.fraction,
-            num_rr_sets=index.num_sets,
-        )
+        request = SelectRequest(k=k, include=tuple(int(v) for v in include),
+                                exclude=tuple(int(v) for v in exclude))
+        return cast(SelectResponse, answer(self._ensure_index(k), request))
 
     def spread(self, seeds: Iterable[int]) -> float:
         """``n · F_R(S)`` — the Corollary 1 estimate over the sketch."""
@@ -267,7 +241,7 @@ class InfluenceSession:
         *preview* — a rejected update (missing edge, LT weight violation)
         leaves graph and sketch untouched.
         """
-        from repro.dynamic.updates import EdgeUpdate, parse_update
+        from repro.dynamic.updates import EdgeUpdate
 
         require(not self._closed, "session is closed")
         if update is None:
@@ -275,10 +249,8 @@ class InfluenceSession:
                     "apply_update needs an update object or action=/u=/v= keywords")
             update = EdgeUpdate(action=action, u=int(u), v=int(v),
                                 prob=None if p is None else float(p))
-        elif isinstance(update, UpdateRequest):
-            update = update.to_edge_update()
-        elif not isinstance(update, EdgeUpdate):
-            update = parse_update(update)
+        else:
+            update = as_edge_update(update)
 
         delta = self._dynamic.preview(update)
         # Validate unconditionally — an update that breaks the model's
@@ -307,6 +279,8 @@ class InfluenceSession:
     def execute(self, request: Request | dict[str, Any]) -> Response:
         """Answer one typed request (or wire dict) against this session.
 
+        Reads go through :func:`~repro.api.ops.answer` once the sketch is
+        ensured for the request's ``k`` (``default_k`` when it has none).
         The session has no LRU, so ``stats`` reports the sketch shape
         rather than cache counters.  Raises :class:`ApiError` on protocol
         failures — unlike the service front, the session is a Python API
@@ -321,25 +295,7 @@ class InfluenceSession:
                 f"this session serves model {self.model!r}; per-request model "
                 f"overrides ({requested_model!r}) need an InfluenceService",
             )
-        if isinstance(request, SelectRequest):
-            response = self.select(request.k, include=request.include,
-                                   exclude=request.exclude)
-        elif isinstance(request, SpreadRequest):
-            index = self._ensure_index()
-            # One postings union; n * F_R(S) is what index.spread returns.
-            fraction = index.coverage_fraction(request.seeds)
-            response = SpreadResponse(
-                spread=index.num_nodes * fraction,
-                coverage_fraction=fraction,
-                num_rr_sets=index.num_sets,
-            )
-        elif isinstance(request, MarginalRequest):
-            index = self._ensure_index()
-            response = MarginalResponse(
-                gain=index.marginal_gain(request.seeds, request.candidate),
-                num_rr_sets=index.num_sets,
-            )
-        elif isinstance(request, UpdateRequest):
+        if isinstance(request, UpdateRequest):
             response = self.apply_update(request)
         elif isinstance(request, StatsRequest):
             # "sketch" reports what the owned sketch *certifies* (additive
@@ -367,8 +323,8 @@ class InfluenceSession:
                 "policy": self.policy.as_dict(),
                 "sketch": sketch_stats,
             })
-        else:  # pragma: no cover - parse_request exhausts the op set
-            raise ApiError("unknown_op", f"unhandled request type {type(request).__name__}")
+        else:
+            response = answer(self._ensure_index(getattr(request, "k", None)), request)
         response.id = request.id
         return response
 

@@ -26,6 +26,7 @@ import sys
 from repro import obs
 from repro.algorithms import algorithm_names, maximize_influence, supports_policy
 from repro.api import ExecutionPolicy
+from repro.api.policy import SERVING_POLICY
 from repro.datasets import build_dataset, dataset_names, dataset_spec
 from repro.diffusion import estimate_spread
 from repro.experiments import EXPERIMENTS, render
@@ -237,18 +238,16 @@ def _resolve_policy(args, base: ExecutionPolicy | None = None) -> ExecutionPolic
     """CLI flags over REPRO_* environment over ``base`` (library defaults).
 
     ``base`` carries subcommand-specific defaults — the sketch/serve builds
-    default to the coarser ε = 0.3 — so the env vars still layer between
-    the default and any explicit flag.  ``--metrics-out PATH`` implies
-    ``metrics=True`` (the flag names the export; the switch rides along).
+    start from :data:`~repro.api.policy.SERVING_POLICY` (ε = 0.3) — so the
+    env vars still layer between the default and any explicit flag.
+    ``--metrics-out PATH`` implies ``metrics=True`` (the flag names the
+    export; the switch rides along).
     """
     policy = ExecutionPolicy.from_args(args, base=base)
     if getattr(args, "metrics_out", None):
         policy = policy.merge(metrics=True)
     return policy
 
-
-#: Serving sketches trade tightness for build time (see InfluenceService).
-_SERVING_DEFAULTS = ExecutionPolicy(epsilon=0.3)
 
 #: RIS pays ε⁻³, so its historical default is coarser than the library-wide
 #: 0.1; the CLI keeps it as the base layer under REPRO_EPSILON / --epsilon.
@@ -325,7 +324,7 @@ def _command_sketch(args) -> int:
     from repro.sketch import SketchIndex
 
     graph = _load_graph(args.dataset, args.scale, args.model)
-    policy = _resolve_policy(args, base=_SERVING_DEFAULTS)
+    policy = _resolve_policy(args, base=SERVING_POLICY)
     started = obs.now()
     index = SketchIndex.build(
         graph,
@@ -364,14 +363,12 @@ def _command_serve(args) -> int:
     )
 
     graph = _load_graph(args.dataset, args.scale, args.model)
-    policy = _resolve_policy(args, base=_SERVING_DEFAULTS)
+    policy = _resolve_policy(args, base=SERVING_POLICY)
     memory_budget = (int(args.memory_budget_mb * 1024 * 1024)
                      if args.memory_budget_mb is not None else None)
     service = InfluenceService(
         max_indexes=args.max_indexes,
         default_k=args.k,
-        epsilon=policy.epsilon,
-        ell=policy.ell,
         theta=args.theta,
         policy=policy,
         rng=args.seed,

@@ -40,13 +40,20 @@ def sampler_spec(sampler) -> dict | None:
     """A picklable recipe to rebuild ``sampler`` in a worker, or ``None``.
 
     Only exact sampler types with array-only construction inputs are
-    supported; unknown types (e.g. triggering samplers bound to arbitrary
-    distribution objects) return ``None`` and the engine degrades to
-    in-process sharding.
+    supported: IC, LT, and a weighted-root wrapper around either (its spec
+    carries the inner spec and the node weights).  Unknown types (e.g.
+    triggering samplers bound to arbitrary distribution objects) return
+    ``None`` and the engine degrades to in-process sharding.
     """
+    from repro.core.weighted import WeightedRootSampler
     from repro.rrset.ic_sampler import ICRRSampler
     from repro.rrset.lt_sampler import LTRRSampler
 
+    if type(sampler) is WeightedRootSampler:
+        inner = sampler_spec(sampler.inner)
+        if inner is None:
+            return None
+        return {"kind": "weighted", "inner": inner, "node_weights": sampler.node_weights}
     if type(sampler) is ICRRSampler:
         return {
             "kind": "ic",
@@ -61,6 +68,10 @@ def sampler_spec(sampler) -> dict | None:
 def build_sampler(graph, spec: dict):
     """Rebuild the sampler described by :func:`sampler_spec` on ``graph``."""
     kind = spec["kind"]
+    if kind == "weighted":
+        from repro.core.weighted import WeightedRootSampler
+
+        return WeightedRootSampler(build_sampler(graph, spec["inner"]), spec["node_weights"])
     if kind == "ic":
         from repro.rrset.ic_sampler import ICRRSampler
 

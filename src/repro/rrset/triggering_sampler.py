@@ -13,8 +13,6 @@ queue traversal root by root.
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
 from repro.graphs.digraph import DiGraph
@@ -41,27 +39,34 @@ class TriggeringRRSampler(RRSampler):
         self._in_degrees: list[int] | None = None
 
     def sample_batch(self, roots, rng) -> FlatRRCollection:
-        """One RR set per root, each grown by its own queue traversal."""
+        """One RR set per root, each grown by its own queue traversal.
+
+        Members are stored in discovery order, root first, as the IC and LT
+        batches store theirs.
+        """
         source = resolve_rng(rng)
         distribution = self.distribution
         out = FlatRRCollection(self.graph.n, self.graph.m)
         for root in np.asarray(roots, dtype=np.int64).tolist():
             visited = {root}
-            queue = deque([root])
+            # The FIFO queue is this list: its head has been dequeued, so
+            # it also holds the members in the order they were discovered.
+            order = [root]
+            head = 0
             examined = 0
-            while queue:
-                current = queue.popleft()
-                triggering_set = distribution.sample(current, source)
+            while head < len(order):
+                triggering_set = distribution.sample(order[head], source)
+                head += 1
                 examined += len(triggering_set)
                 for source_node in triggering_set:
                     if source_node not in visited:
                         visited.add(source_node)
-                        queue.append(source_node)
+                        order.append(source_node)
             out.append_arrays(
                 root=root,
-                members=np.fromiter(visited, dtype=np.int32, count=len(visited)),
-                width=self.width_of(visited),
-                cost=len(visited) + examined,
+                members=np.asarray(order, dtype=np.int32),
+                width=self.width_of(order),
+                cost=len(order) + examined,
             )
         return out
 

@@ -42,7 +42,9 @@ failures (``update`` never replays), and a request carrying ``deadline_ms``
 The protocol itself lives in :mod:`repro.api.ops`: :meth:`execute` is the
 typed front (``SelectRequest`` in, ``SelectResponse`` out; wire dicts are
 parsed on the way in, and ``.to_wire()`` gives the payload back) and is
-what ``run_batch`` and the CLI speak.
+what ``run_batch`` and the CLI speak.  Reads are answered by the handler
+:func:`repro.api.ops.answer` that :class:`~repro.api.session.InfluenceSession`
+also uses; the service adds the LRU lookup and the ``cache`` stamp.
 """
 
 from __future__ import annotations
@@ -54,60 +56,32 @@ from typing import Any, Iterable
 from repro.api.ops import (
     ApiError,
     ErrorResponse,
-    MarginalRequest,
-    MarginalResponse,
     Request,
     Response,
-    SelectRequest,
-    SelectResponse,
-    SpreadRequest,
-    SpreadResponse,
     StatsRequest,
     StatsResponse,
     UpdateRequest,
     UpdateResponse,
+    answer,
+    as_edge_update,
     parse_request,
 )
-from repro.api.policy import ExecutionPolicy
+from repro.api.policy import SERVING_POLICY, ExecutionPolicy
 from repro.diffusion.base import resolve_model
 from repro.faults import injection as faults
 from repro.faults.errors import DeadlineExceeded, ReproError
 from repro.faults.retry import RetryPolicy, call_with_retry
 from repro.obs import runtime as obs
-from repro.obs.registry import LATENCY_MS_BUCKETS, MetricsRegistry
+from repro.obs.registry import LATENCY_MS_BUCKETS, Histogram
 from repro.sketch.index import SketchIndex
 from repro.utils.rng import resolve_rng
 from repro.utils.validation import require
 
 __all__ = ["InfluenceService", "ServiceStats"]
 
-#: The counters a ServiceStats carries, in wire order.  Error latency is
-#: tracked separately from total latency so the success-only mean cannot be
-#: polluted by cheap fast-fail requests (the historical ``mean_latency_ms``
-#: keeps averaging over *all* queries, byte-identical to older releases).
-_COUNTER_FIELDS = (
-    "queries",
-    "errors",
-    "cache_hits",
-    "cache_misses",
-    "evictions",
-    "builds",
-    "repairs",
-    "retries",
-    "sets_resampled",
-    "total_latency_seconds",
-    "error_latency_seconds",
-)
-
 
 class ServiceStats:
     """Aggregate counters the service maintains across queries.
-
-    Backed by a private :class:`~repro.obs.registry.MetricsRegistry`
-    (always on — the registry is just storage; the process-global tracing
-    switch only governs *span* recording), while keeping the historical
-    attribute surface: ``stats.queries``, ``stats.cache_hits += 1`` and
-    friends read and write the underlying counters directly.
 
     ``as_dict()`` keeps every historical key byte-identical — including
     ``mean_latency_ms``/``queries_per_second`` averaging over all requests,
@@ -117,34 +91,21 @@ class ServiceStats:
     """
 
     def __init__(self) -> None:
-        registry = MetricsRegistry()
-        # _counters must exist before any attribute write routes through
-        # __setattr__.
-        self.__dict__["_counters"] = {
-            name: registry.counter("service." + name) for name in _COUNTER_FIELDS
-        }
-        self.__dict__["registry"] = registry
-        self.__dict__["latency"] = registry.histogram(
-            "service.request_latency_ms", LATENCY_MS_BUCKETS)
-        self.__dict__["per_op"] = {}
-        # Latency accumulators are seconds, so they surface as floats even
-        # before the first request lands.
-        self._counters["total_latency_seconds"].value = 0.0
-        self._counters["error_latency_seconds"].value = 0.0
-
-    def __getattr__(self, name: str) -> Any:
-        counters = self.__dict__.get("_counters")
-        if counters is not None and name in counters:
-            return counters[name].value
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}")
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        counters = self.__dict__.get("_counters")
-        if counters is not None and name in counters:
-            counters[name].value = value
-        else:
-            self.__dict__[name] = value
+        self.queries = 0
+        self.errors = 0
+        self.cache_hits = 0
+        self.cache_misses = 0
+        self.evictions = 0
+        self.builds = 0
+        self.repairs = 0
+        self.retries = 0
+        self.sets_resampled = 0
+        # Error latency is kept apart from the total so the success-only
+        # mean is not polluted by cheap fast-fail requests.
+        self.total_latency_seconds = 0.0
+        self.error_latency_seconds = 0.0
+        self.latency = Histogram("service.request_latency_ms", LATENCY_MS_BUCKETS)
+        self.per_op: dict[str, int] = {}
 
     def record_latency(self, seconds: float, *, error: bool) -> None:
         """Fold one request's wall-clock into every latency aggregate."""
@@ -206,38 +167,32 @@ class ServiceStats:
 class InfluenceService:
     """LRU of sketch indexes plus a uniform query front.
 
+    Reads are answered by :func:`repro.api.ops.answer` on the cached index,
+    as the session answers them on its own; unlike a session, the service
+    never re-prices θ for a request's ``k``.
+
     Parameters
     ----------
     max_indexes:
         Capacity of the LRU; the least-recently-used index is evicted when a
         build would exceed it.
-    default_k, epsilon, ell:
-        Build parameters for cold misses (θ derived the TIM way from
-        ``epsilon`` at budget ``default_k``); ``theta`` overrides the
-        derivation with a fixed sketch size.
-    jobs:
-        Worker processes for cold builds and warm-start extensions
-        (``0`` = all cores, ``None`` = single stream).  Sketch bytes are
-        worker-count invariant, so the cache key needs no ``jobs`` term.
-    trace_edges:
-        Build cold indexes with live-edge traces so ``update`` requests
-        invalidate precisely (IC/LT).  Untraced indexes still repair, but
-        with the coarser membership-based invalidation.
+    default_k:
+        Budget whose θ a cold miss derives the TIM way from
+        ``policy.epsilon``; ``theta`` overrides the derivation with a fixed
+        sketch size.
     policy:
-        An :class:`~repro.api.policy.ExecutionPolicy` supplying defaults
-        for ``jobs``/``trace_edges``/``epsilon``/``ell`` in one
-        validated object; the explicit keyword arguments above override
-        its fields.  Without a policy, ``epsilon`` keeps the service's
-        historical ``0.3`` default (coarser than the library-wide ``0.1``
-        because a serving sketch trades tightness for build time).
+        The :class:`~repro.api.policy.ExecutionPolicy` (or a dict of its
+        fields) for cold builds and requests: ``epsilon``/``ell`` price θ;
+        ``jobs`` shards cold builds across worker processes (sketch bytes
+        are worker-count invariant, so the cache key needs no ``jobs`` term);
+        ``trace_edges`` records live-edge traces so ``update`` requests
+        invalidate precisely (IC/LT); ``deadline_ms`` is the default
+        per-request budget, past which a request comes back as a structured
+        ``deadline_exceeded`` error (a request's own ``deadline_ms``
+        overrides it).  ``None`` means
+        :data:`~repro.api.policy.SERVING_POLICY` (ε = 0.3).
     rng:
         Seed/source for cold builds, so a service run is reproducible.
-    deadline_ms:
-        Default per-request wall-clock budget; a request over budget comes
-        back as a structured ``deadline_exceeded`` error instead of hanging
-        the JSONL loop.  ``None`` (default) means no budget; a request's
-        own ``deadline_ms`` field overrides the service default.  Falls
-        back to ``policy.deadline_ms`` when a policy supplies one.
     memory_budget_bytes:
         Soft cap on the summed ``nbytes`` of cached sketches; before a cold
         build (and after any insert) least-recently-used indexes are
@@ -256,29 +211,15 @@ class InfluenceService:
                                          max_delay_ms=10.0)
 
     def __init__(self, max_indexes: int = 4, *, default_k: int = 10,
-                 epsilon: float | None = None, ell: float | None = None,
-                 theta: int | None = None, jobs: int | None = None,
-                 trace_edges: bool | None = None,
-                 policy: ExecutionPolicy | None = None, rng: Any = None,
-                 deadline_ms: float | None = None,
-                 memory_budget_bytes: int | None = None,
+                 theta: int | None = None,
+                 policy: ExecutionPolicy | dict[str, Any] | None = None,
+                 rng: Any = None, memory_budget_bytes: int | None = None,
                  retry: RetryPolicy | None = None) -> None:
         require(max_indexes >= 1, "max_indexes must be >= 1")
-        resolved = ExecutionPolicy.coerce(policy)
         self.max_indexes = int(max_indexes)
         self.default_k = int(default_k)
-        if epsilon is None:
-            epsilon = resolved.epsilon if policy is not None else 0.3
-        self.epsilon = float(epsilon)
-        self.ell = float(resolved.ell if ell is None else ell)
         self.theta = theta
-        self.jobs = resolved.jobs if jobs is None else jobs
-        self.trace_edges = bool(resolved.trace_edges if trace_edges is None else trace_edges)
-        if deadline_ms is None:
-            deadline_ms = resolved.deadline_ms
-        require(deadline_ms is None or deadline_ms > 0,
-                f"deadline_ms must be > 0; got {deadline_ms!r}")
-        self.deadline_ms = None if deadline_ms is None else float(deadline_ms)
+        self.policy = SERVING_POLICY if policy is None else ExecutionPolicy.coerce(policy)
         require(memory_budget_bytes is None or memory_budget_bytes > 0,
                 f"memory_budget_bytes must be > 0; got {memory_budget_bytes!r}")
         self.memory_budget_bytes = memory_budget_bytes
@@ -334,11 +275,11 @@ class InfluenceService:
             model,
             theta=self.theta,
             k=None if self.theta is not None else self.default_k,
-            epsilon=self.epsilon,
-            ell=self.ell,
+            epsilon=self.policy.epsilon,
+            ell=self.policy.ell,
             rng=self._rng.spawn(),
-            jobs=self.jobs,
-            trace_edges=self.trace_edges,
+            jobs=self.policy.jobs,
+            trace_edges=self.policy.trace_edges,
         )
         self._indexes[key] = index
         self._evict()
@@ -398,8 +339,8 @@ class InfluenceService:
         """Apply one edge update and repair every cached index it staled.
 
         ``dynamic`` must be a :class:`~repro.dynamic.graph.DynamicDiGraph`;
-        ``update`` an :class:`~repro.dynamic.updates.EdgeUpdate` or its
-        request-dict form.  The update is *previewed* first: the post-update
+        ``update`` an :class:`~repro.dynamic.updates.EdgeUpdate`, an
+        :class:`~repro.api.ops.UpdateRequest` or a request dict.  The update is *previewed* first: the post-update
         snapshot is validated against every cached model before anything
         mutates, so a rejected update (missing edge, LT weight-sum
         violation, ...) leaves the dynamic graph, the cache, and every
@@ -412,15 +353,11 @@ class InfluenceService:
         next query, as usual.
         """
         from repro.dynamic.graph import DynamicDiGraph
-        from repro.dynamic.updates import EdgeUpdate, parse_update
 
         require(isinstance(dynamic, DynamicDiGraph),
                 "updates need a DynamicDiGraph (got a plain graph; wrap it "
                 "in repro.dynamic.DynamicDiGraph to enable mutation)")
-        if isinstance(update, UpdateRequest):
-            update = update.to_edge_update()
-        elif not isinstance(update, EdgeUpdate):
-            update = parse_update(update)
+        update = as_edge_update(update)
         delta = dynamic.preview(update)
         keys = [k for k in self._indexes if k[0] == delta.old_fingerprint]
         for _, model_name in keys:
@@ -474,37 +411,9 @@ class InfluenceService:
             return UpdateResponse(cache="n/a", **report)
         resolved_model = getattr(request, "model", None) or model or "IC"
         index, was_cached = self.get_index(graph, resolved_model)
-        cache = "hit" if was_cached else "miss"
-        if isinstance(request, SelectRequest):
-            result = index.select(
-                request.k,
-                forced_include=request.include,
-                forced_exclude=request.exclude,
-            )
-            return SelectResponse(
-                seeds=result.seeds,
-                coverage_fraction=result.fraction,
-                estimated_spread=index.num_nodes * result.fraction,
-                num_rr_sets=index.num_sets,
-                cache=cache,
-            )
-        if isinstance(request, SpreadRequest):
-            # One postings union; n * F_R(S) is what index.spread returns.
-            fraction = index.coverage_fraction(request.seeds)
-            return SpreadResponse(
-                spread=index.num_nodes * fraction,
-                coverage_fraction=fraction,
-                num_rr_sets=index.num_sets,
-                cache=cache,
-            )
-        if isinstance(request, MarginalRequest):
-            return MarginalResponse(
-                gain=index.marginal_gain(request.seeds, request.candidate),
-                num_rr_sets=index.num_sets,
-                cache=cache,
-            )
-        raise ApiError("unknown_op",  # pragma: no cover - parse_request exhausts ops
-                       f"unhandled request type {type(request).__name__}")
+        response = answer(index, request)
+        response.cache = "hit" if was_cached else "miss"
+        return response
 
     def _dispatch_retrying(self, graph: Any, request: Request,
                            model: Any) -> Response:
@@ -548,7 +457,7 @@ class InfluenceService:
                 typed = parse_request(request)
                 op, request_id = typed.op, typed.id
                 budget = (typed.deadline_ms if typed.deadline_ms is not None
-                          else self.deadline_ms)
+                          else self.policy.deadline_ms)
                 with faults.deadline_scope(budget):
                     response = self._dispatch_retrying(graph, typed, model)
                 response.id = request_id

@@ -14,7 +14,6 @@ class TestValidation:
         assert policy.trace_edges is False
         assert policy.epsilon == 0.1
         assert policy.ell == 1.0
-        assert policy.reuse_sketch is True
 
     def test_frozen(self):
         with pytest.raises(AttributeError):
@@ -34,7 +33,6 @@ class TestValidation:
         {"epsilon": 0.0},
         {"epsilon": 1.5},
         {"ell": 0.0},
-        {"reuse_sketch": "yes"},
     ])
     def test_rejects_invalid_fields(self, bad):
         with pytest.raises((ValueError, TypeError)):
@@ -103,7 +101,7 @@ class TestMerge:
 
     def test_as_dict_roundtrip(self):
         policy = ExecutionPolicy(algorithm="imm", jobs=2, trace_edges=True,
-                                 epsilon=0.25, ell=1.5, reuse_sketch=False)
+                                 epsilon=0.25, ell=1.5, metrics=True)
         assert ExecutionPolicy(**policy.as_dict()) == policy
 
 

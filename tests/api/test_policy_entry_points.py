@@ -14,9 +14,11 @@ import pytest
 from repro import InfluenceService, SketchIndex, maximize_influence, ris, tim, tim_plus
 from repro.algorithms import register_algorithm, supports_policy
 from repro.api import ExecutionPolicy, SelectRequest
+from repro.api.policy import SERVING_POLICY
 from repro.core import estimate_kpt, node_selection, refine_kpt
 from repro.graphs import gnm_random_digraph, weighted_cascade
 from repro.rrset import make_rr_sampler
+from repro.utils.rng import resolve_rng
 
 #: How each entry point that carried legacy keywords is called.
 ENTRY_POINTS = {
@@ -43,6 +45,10 @@ REMOVED_KEYWORDS = [
 ]
 LEGACY_VALUES = {"engine": "vectorized", "jobs": 1, "sketch_index": None, "collection": None,
                  "coverage": "lazy"}
+
+#: The service's execution keywords that folded into ``policy=``.
+FOLDED_SERVICE_KEYWORDS = {"epsilon": 0.3, "ell": 1.0, "jobs": 2, "trace_edges": True,
+                           "deadline_ms": 5.0}
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +121,27 @@ class TestServiceWireDicts:
                     if issubclass(w.category, DeprecationWarning)]
 
 
+class TestServicePolicy:
+    def test_no_policy_means_the_serving_policy(self):
+        service = InfluenceService()
+        assert service.policy is SERVING_POLICY
+        assert SERVING_POLICY == ExecutionPolicy(epsilon=0.3)
+
+    def test_a_given_policy_is_used_as_is(self):
+        assert InfluenceService(policy=ExecutionPolicy()).policy.epsilon == 0.1
+        coerced = InfluenceService(policy={"jobs": 2, "deadline_ms": 40})
+        assert coerced.policy == ExecutionPolicy(jobs=2, deadline_ms=40.0)
+
+    def test_cold_build_prices_theta_at_the_policy_epsilon(self, wc_graph):
+        service = InfluenceService(default_k=2, policy=ExecutionPolicy(epsilon=0.5), rng=9)
+        index, cached = service.get_index(wc_graph, "IC")
+        expected = SketchIndex.build(wc_graph, "IC", k=2, epsilon=0.5,
+                                     rng=resolve_rng(9).spawn())
+        assert not cached
+        assert index.num_sets == expected.num_sets
+        assert index.meta["epsilon"] == 0.5
+
+
 class TestMaximizeInfluencePolicy:
     def test_policy_forwards_to_tim_family(self, wc_graph):
         result = maximize_influence(wc_graph, 3, algorithm="tim+", rng=3,
@@ -182,6 +209,18 @@ class TestRemovedCallShapes:
     def test_service_rejects_engine(self):
         with pytest.raises(TypeError, match="unexpected keyword argument 'engine'"):
             InfluenceService(theta=100, engine="vectorized")
+
+    @pytest.mark.parametrize("keyword", sorted(FOLDED_SERVICE_KEYWORDS))
+    def test_service_execution_keyword_folded_into_policy(self, keyword):
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{keyword}'"):
+            InfluenceService(theta=100, **{keyword: FOLDED_SERVICE_KEYWORDS[keyword]})
+
+    def test_policy_has_no_reuse_sketch(self):
+        assert "reuse_sketch" not in ExecutionPolicy.field_names()
+        with pytest.raises(TypeError, match="unexpected keyword argument 'reuse_sketch'"):
+            ExecutionPolicy(reuse_sketch=False)
+        with pytest.raises(ValueError, match="unknown execution-policy field"):
+            ExecutionPolicy.from_kwargs(reuse_sketch=True)
 
     def test_service_has_no_dict_query(self):
         assert not hasattr(InfluenceService, "query")

@@ -112,15 +112,7 @@ class TestEnsure:
 
 
 class TestPolicy:
-    def test_reuse_sketch_false_rebuilds_each_select(self, wc_graph):
-        policy = ExecutionPolicy(reuse_sketch=False)
-        with InfluenceSession(wc_graph, "IC", policy=policy, rng=0) as session:
-            session.select(2)
-            first = session.index
-            session.select(2)
-            assert session.index is not first
-
-    def test_reuse_sketch_true_keeps_index(self, wc_graph):
+    def test_select_keeps_and_grows_one_index(self, wc_graph):
         with InfluenceSession(wc_graph, "IC", rng=0) as session:
             session.select(2)
             first = session.index

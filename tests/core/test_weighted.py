@@ -46,7 +46,8 @@ class TestWeightedRootSampler:
     def test_parallel_shards_keep_weighted_roots(self):
         # Random-root shards must draw through the wrapped sampler's root
         # law: at any jobs value every root carries weight, and the shard
-        # bytes do not depend on the worker count.
+        # bytes do not depend on the worker count.  Workers rebuild the
+        # weighted sampler, so jobs=2 runs in the pool without a warning.
         graph = weighted_cascade(gnm_random_digraph(60, 300, rng=1))
         weights = np.zeros(graph.n)
         weights[5] = 1.0
@@ -55,11 +56,11 @@ class TestWeightedRootSampler:
             sampler = ParallelSampler(
                 WeightedRootSampler(make_rr_sampler(graph, "IC"), weights), jobs=jobs)
             with warnings.catch_warnings():
-                # A weighted sampler cannot be rebuilt in a worker, so jobs=2
-                # degrades to in-process shards (and says so).
-                warnings.simplefilter("ignore", RuntimeWarning)
+                warnings.simplefilter("error")
                 with sampler:
                     batches.append(sampler.sample_random_batch(2000, rng=1))
+                    if jobs == 2:
+                        assert sampler._state.get("executor") is not None  # a real pool
         for batch in batches:
             assert set(batch.roots_array.tolist()) == {5}
         for name in ("ptr_array", "nodes_array", "roots_array", "widths_array",
@@ -73,7 +74,7 @@ class TestWeightedRootSampler:
         weights[5] = 1.0
         sampler = WeightedRootSampler(make_rr_sampler(graph, "IC"), weights)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error")  # jobs=2 runs in the pool, no fallback
             result = node_selection(graph, 1, 2000, sampler, rng=1,
                                     policy=ExecutionPolicy(jobs=jobs))
         assert result.seeds == [5]

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.api import ExecutionPolicy
 from repro.cli import main
 from repro.dynamic import DynamicDiGraph
 from repro.graphs import gnm_random_digraph, save_edge_list, weighted_cascade
@@ -20,7 +21,8 @@ def wc_graph():
 
 @pytest.fixture
 def service():
-    return InfluenceService(max_indexes=3, theta=400, trace_edges=True, rng=17)
+    return InfluenceService(max_indexes=3, theta=400,
+                            policy=ExecutionPolicy(trace_edges=True), rng=17)
 
 
 class TestServiceApplyUpdate:
@@ -93,7 +95,8 @@ class TestServiceApplyUpdate:
         from repro.graphs import gnm_random_digraph, uniform_random_lt
 
         graph = uniform_random_lt(gnm_random_digraph(40, 160, rng=7), rng=1)
-        service = InfluenceService(max_indexes=2, theta=300, trace_edges=True, rng=17)
+        service = InfluenceService(max_indexes=2, theta=300,
+                                   policy=ExecutionPolicy(trace_edges=True), rng=17)
         dynamic = DynamicDiGraph(graph)
         service.execute(dynamic, {"op": "select", "k": 2, "model": "LT"})
         cached_before = service.cached_keys()

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import ExecutionPolicy
 from repro.api.ops import ErrorResponse, SelectRequest, SelectResponse
 from repro.faults import FaultPlan, FaultRule, RetryPolicy, injection
 from repro.graphs import gnm_random_digraph, weighted_cascade
@@ -44,7 +45,8 @@ class TestDeadline:
         assert service.stats.retries == 0  # a spent budget is never retried
 
     def test_service_level_default_budget(self, wc_graph):
-        svc = InfluenceService(max_indexes=2, theta=400, rng=17, deadline_ms=5)
+        svc = InfluenceService(max_indexes=2, theta=400, rng=17,
+                               policy=ExecutionPolicy(deadline_ms=5))
         try:
             plan = FaultPlan([FaultRule(site="serve.dispatch", delay_ms=50.0)])
             with injection.plan_scope(plan):
@@ -57,7 +59,8 @@ class TestDeadline:
     def test_request_budget_overrides_service_default(self, wc_graph):
         # A generous per-request budget rescues a query the tight service
         # default would have killed.
-        svc = InfluenceService(max_indexes=2, theta=400, rng=17, deadline_ms=1)
+        svc = InfluenceService(max_indexes=2, theta=400, rng=17,
+                               policy=ExecutionPolicy(deadline_ms=1))
         try:
             plan = FaultPlan([FaultRule(site="serve.dispatch", delay_ms=10.0)])
             with injection.plan_scope(plan):

@@ -198,19 +198,20 @@ class TestSharedExecutionFlags:
         assert policy.epsilon == 0.2
 
     def test_env_epsilon_reaches_sketch_and_serve(self, monkeypatch):
-        from repro.cli import _SERVING_DEFAULTS, _resolve_policy
+        from repro.api.policy import SERVING_POLICY
+        from repro.cli import _resolve_policy
 
         monkeypatch.setenv("REPRO_EPSILON", "0.05")
         args = build_parser().parse_args(["sketch", "--out", "x.npz"])
-        assert _resolve_policy(args, base=_SERVING_DEFAULTS).epsilon == 0.05
+        assert _resolve_policy(args, base=SERVING_POLICY).epsilon == 0.05
         # the explicit flag still wins over the environment
         args = build_parser().parse_args(
             ["serve", "--epsilon", "0.4"])
-        assert _resolve_policy(args, base=_SERVING_DEFAULTS).epsilon == 0.4
+        assert _resolve_policy(args, base=SERVING_POLICY).epsilon == 0.4
         # and without either, the serving default holds
         monkeypatch.delenv("REPRO_EPSILON")
         args = build_parser().parse_args(["sketch", "--out", "x.npz"])
-        assert _resolve_policy(args, base=_SERVING_DEFAULTS).epsilon == 0.3
+        assert _resolve_policy(args, base=SERVING_POLICY).epsilon == 0.3
 
     def test_trace_edges_rejected_on_run(self):
         import pytest

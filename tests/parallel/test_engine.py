@@ -279,6 +279,25 @@ class TestWorkerSpec:
         assert sampler_spec(LTRRSampler(lt_graph, trace_edges=True)) == {
             "kind": "lt", "trace_edges": True}
 
+    def test_weighted_spec_wraps_the_inner_spec(self, wc_graph):
+        from repro.core.weighted import WeightedRootSampler
+        from repro.diffusion.triggering import ICTriggering, TriggeringModel
+        from repro.parallel.worker import build_sampler, sampler_spec
+        from repro.rrset.ic_sampler import ICRRSampler
+
+        weights = np.arange(wc_graph.n, dtype=np.float64)
+        spec = sampler_spec(WeightedRootSampler(ICRRSampler(wc_graph, max_depth=2), weights))
+        assert spec["kind"] == "weighted"
+        assert spec["inner"] == {"kind": "ic", "max_depth": 2, "trace_edges": False}
+        assert np.array_equal(spec["node_weights"], weights)
+        rebuilt = build_sampler(wc_graph, spec)
+        assert isinstance(rebuilt, WeightedRootSampler)
+        assert rebuilt.inner.max_depth == 2
+        assert np.array_equal(rebuilt.node_weights, weights)
+        # A wrapper around a sampler without a spec has none either.
+        triggering = make_rr_sampler(wc_graph, TriggeringModel(ICTriggering(wc_graph)))
+        assert sampler_spec(WeightedRootSampler(triggering, weights)) is None
+
     @pytest.mark.parametrize("model,graph_fixture,traced", [
         (BoundedIndependentCascade(2), "wc_graph", False),
         (BoundedIndependentCascade(2), "wc_graph", True),

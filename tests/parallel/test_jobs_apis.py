@@ -131,7 +131,7 @@ class TestSketchSubsystem:
         index.close()
 
     def test_service_builds_with_jobs(self, wc_graph):
-        service = InfluenceService(theta=800, jobs=2, rng=53)
+        service = InfluenceService(theta=800, policy=ExecutionPolicy(jobs=2), rng=53)
         first = service.execute(wc_graph, {"op": "select", "k": 3}).to_wire()
         assert first["ok"] and first["cache"] == "miss"
         second = service.execute(wc_graph, {"op": "select", "k": 3}).to_wire()

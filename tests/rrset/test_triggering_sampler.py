@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.diffusion import FixedTriggering, ICTriggering, LTTriggering
-from repro.graphs import path_digraph
+from repro.graphs import gnm_random_digraph, path_digraph, weighted_cascade
 from repro.rrset import ICRRSampler, LTRRSampler, TriggeringRRSampler
 from repro.utils.rng import RandomSource
 
@@ -25,6 +25,35 @@ class TestFixedDistribution:
         dist = FixedTriggering(g, {})
         batch = TriggeringRRSampler(g, dist).sample_batch([2], RandomSource(1))
         assert members(batch, 0) == [2]
+
+
+class TestMemberOrder:
+    def test_members_follow_the_queue_root_first(self, monkeypatch):
+        # Each set lists its members in discovery order, root first, as the
+        # IC and LT batches do: the nodes whose triggering sets the traversal
+        # draws, in draw order, are exactly the members, and each member
+        # after the root sits in the triggering set of a member before it.
+        graph = weighted_cascade(gnm_random_digraph(300, 2000, rng=3))
+        distribution = ICTriggering(graph)
+        draws = []
+        sample = distribution.sample
+
+        def recording(node, rng):
+            triggering_set = sample(node, rng)
+            draws.append((node, set(triggering_set)))
+            return triggering_set
+
+        monkeypatch.setattr(distribution, "sample", recording)
+        batch = TriggeringRRSampler(graph, distribution).sample_random_batch(
+            2000, RandomSource(1))
+        assert [node for node, _ in draws] == batch.nodes_array.tolist()
+        drawn = iter(draws)
+        for i in range(len(batch)):
+            order = members(batch, i)
+            assert order[0] == int(batch.roots_array[i])
+            reached = [next(drawn)[1] for _ in order]
+            for j in range(1, len(order)):
+                assert any(order[j] in reached[h] for h in range(j)), (i, j)
 
 
 class TestEquivalenceWithSpecialisedSamplers:

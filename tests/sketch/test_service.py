@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.api import ExecutionPolicy
 from repro.graphs import gnm_random_digraph, weighted_cascade
 from repro.sketch import InfluenceService, SketchIndex
 
@@ -231,7 +232,8 @@ class TestEvictionClosesPools:
     def test_eviction_shuts_down_a_live_worker_pool(self):
         from repro.parallel import ParallelSampler
 
-        service = InfluenceService(max_indexes=1, theta=300, jobs=2, rng=6)
+        service = InfluenceService(max_indexes=1, theta=300,
+                                   policy=ExecutionPolicy(jobs=2), rng=6)
         first = weighted_cascade(gnm_random_digraph(40, 160, rng=7))
         second = weighted_cascade(gnm_random_digraph(40, 160, rng=8))
         service.execute(first, {"op": "select", "k": 2})
@@ -249,8 +251,8 @@ class TestEvictionClosesPools:
         from repro.dynamic import DynamicDiGraph
         from repro.parallel import ParallelSampler
 
-        service = InfluenceService(max_indexes=2, theta=300, jobs=2,
-                                   trace_edges=True, rng=6)
+        service = InfluenceService(max_indexes=2, theta=300, rng=6,
+                                   policy=ExecutionPolicy(jobs=2, trace_edges=True))
         graph = weighted_cascade(gnm_random_digraph(40, 160, rng=7))
         dynamic = DynamicDiGraph(graph)
         service.execute(dynamic, {"op": "select", "k": 2})
