@@ -100,7 +100,8 @@ class ExecutionPolicy:
         The default influence-maximization algorithm for layers that pick
         one (``"tim"`` default; layers env via ``REPRO_ALGORITHM``).
         Sketch-owning layers (:class:`InfluenceSession`,
-        :meth:`SketchIndex.build`) use it to choose the θ derivation:
+        :class:`InfluenceService`, :meth:`SketchIndex.build`) use it to
+        choose the rule :func:`repro.core.pricing.price` prices θ with:
         ``"imm"`` selects the martingale lower-bound search, anything else
         the TIM KPT derivation.  Normalized to lowercase.
     """

@@ -82,10 +82,11 @@ class InfluenceSession:
     rng:
         Seed or source; all sampling determinism flows from it.
     default_k:
-        Budget used to derive the first sketch's θ when a query arrives
-        before any explicit :meth:`ensure` (the TIM derivation at
-        ``policy.epsilon``); later ``select(k)`` calls re-ensure for their
-        own ``k``.
+        Budget used to price the first sketch's θ when a query arrives
+        before any explicit :meth:`ensure` (at ``policy.epsilon``, under
+        ``policy.algorithm``: ``"imm"`` selects IMM's rule, anything else
+        TIM's); later ``select(k)`` calls re-price for their own ``k`` under
+        the rule the sketch was priced with.
     index:
         Adopt a pre-built/loaded :class:`SketchIndex` instead of building
         lazily.  It must serve this session's graph and model.
@@ -106,15 +107,10 @@ class InfluenceSession:
         require(self.default_k >= 1, "default_k must be >= 1")
         self._index: SketchIndex | None = None
         if index is not None:
-            require(index.meta.get("model") == self._model.name,
-                    f"adopted index serves model {index.meta.get('model')!r}, "
-                    f"not {self._model.name!r}")
-            recorded = index.meta.get("graph_fingerprint")
-            require(recorded is None or recorded == self._dynamic.fingerprint(),
-                    "adopted index was built for a different graph snapshot")
-            if index.graph is None:
-                index.graph = self._dynamic.graph
-            self._index = index
+            from repro.core.pricing import adopt_index
+
+            self._index, _ = adopt_index(index, self._dynamic.graph, self._model,
+                                         self.policy)
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -171,17 +167,10 @@ class InfluenceSession:
         require(not self._closed, "session is closed")
         k = self.default_k if k is None else int(k)
         if self._index is None:
-            if theta is not None:
-                self._index = SketchIndex.build(
-                    self.graph, self._model, theta=int(theta),
-                    rng=self._rng.spawn(), policy=self.policy,
-                )
-            else:
-                self._index = SketchIndex.build(
-                    self.graph, self._model, k=k, epsilon=float(epsilon),
-                    ell=self.policy.ell, rng=self._rng.spawn(),
-                    policy=self.policy,
-                )
+            self._index = SketchIndex.build(
+                self.graph, self._model, theta=theta, k=k, epsilon=epsilon,
+                rng=self._rng.spawn(), policy=self.policy,
+            )
             return self._index.num_sets
         if theta is not None:
             return self._index.ensure_theta(int(theta), rng=self._rng.spawn(),

@@ -1,6 +1,7 @@
-"""The paper's contribution: Algorithms 1-3 and the TIM / TIM+ drivers."""
+"""The paper's contribution: Algorithms 1-3, the one pricing path for θ, and
+the TIM / TIM+ / IMM entry points."""
 
-from repro.core.imm import ImmGrowth, imm, imm_ensure
+from repro.core.imm import imm
 from repro.core.kpt_estimation import KptEstimationResult, estimate_kpt
 from repro.core.node_selection import NodeSelectionResult, node_selection
 from repro.core.parameters import (
@@ -18,6 +19,7 @@ from repro.core.parameters import (
     log_binomial,
     theta_from_kpt,
 )
+from repro.core.pricing import Pricing, price
 from repro.core.refine_kpt import RefineKptResult, refine_kpt
 from repro.core.results import IMMResult, InfluenceMaxResult, TIMResult
 from repro.core.tim import tim, tim_plus
@@ -43,9 +45,9 @@ __all__ = [
     "theta_from_kpt",
     "RefineKptResult",
     "refine_kpt",
-    "ImmGrowth",
+    "Pricing",
+    "price",
     "imm",
-    "imm_ensure",
     "IMMResult",
     "InfluenceMaxResult",
     "TIMResult",

@@ -5,10 +5,13 @@ solves maximum coverage over them.  Independence (given θ) is exactly what
 distinguishes TIM from Borgs et al.'s threshold-coupled RIS and is the
 source of the clean Chernoff analysis (Lemma 3 / Theorem 1).
 
-RR sets are generated by the sampler's numpy-batched path straight into a
+RR sets are generated by the sampler's numpy-batched path into the
 :class:`~repro.rrset.flat_collection.FlatRRCollection` (packed
-``ptr``/``nodes`` arrays) and the coverage solver runs on those arrays
-directly; no per-set Python objects exist anywhere on the hot path.
+``ptr``/``nodes`` arrays) of a :class:`~repro.sketch.index.SketchIndex`, the
+caller's or a private one, and the index's greedy kernel runs on those
+arrays directly; no per-set Python objects exist anywhere on the hot path.
+TIM and TIM+ price θ with :func:`repro.core.pricing.price` and select on the
+index it grew; this function is Algorithm 1 for a θ decided elsewhere.
 """
 
 from __future__ import annotations
@@ -16,13 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.api.policy import ExecutionPolicy
-from repro.obs import runtime as obs
 from repro.parallel import maybe_parallel
 from repro.rrset.base import RRSampler
-from repro.rrset.coverage import greedy_max_coverage
 from repro.rrset.flat_collection import FlatRRCollection
 from repro.utils.rng import resolve_rng
-from repro.utils.validation import check_k, check_positive_int, require
+from repro.utils.validation import check_k, check_positive_int
 
 __all__ = ["NodeSelectionResult", "node_selection"]
 
@@ -61,8 +62,9 @@ def node_selection(
         (build-or-reuse): its sketch is the collection — already-held RR
         sets are reused, only the shortfall to θ is sampled (appended via
         ``extend_flat``, warm-start style) — and selection runs on the
-        index's prebuilt inverted index.  Seeds are identical to
-        :func:`~repro.rrset.coverage.greedy_max_coverage` (same kernel).
+        index's prebuilt inverted index.  Without one, a private index over
+        an empty sketch of ``graph`` holds the θ sets.  Seeds are identical
+        to :func:`~repro.rrset.coverage.greedy_max_coverage` (same kernel).
     policy:
         :class:`~repro.api.policy.ExecutionPolicy` carrying the execution
         knobs.  ``policy.jobs`` shards the θ sampling across worker
@@ -71,41 +73,29 @@ def node_selection(
         byte-identical for every worker count.  ``None`` (default) keeps the
         single stream.
     """
+    from repro.sketch.index import SketchIndex
+
     check_k(k, graph.n)
     check_positive_int(theta, "theta")
     source = resolve_rng(rng)
+    owned = index is None
+    if index is None:
+        index = SketchIndex(graph=graph)
     sampler, owned_pool = maybe_parallel(sampler, ExecutionPolicy.coerce(policy).jobs)
     try:
-        return _node_selection(graph, k, theta, sampler, source, index)
-    finally:
-        if owned_pool:
-            sampler.close()
-
-
-def _node_selection(graph, k, theta, sampler, source, index):
-    if index is not None:
-        missing = theta - len(index.collection)
+        missing = theta - index.num_sets
         if missing > 0:
             index.extend_flat(sampler.sample_random_batch(missing, source))
         result = index.select(k)
-        fraction = result.fraction
-        return NodeSelectionResult(
-            seeds=result.seeds,
-            coverage_fraction=fraction,
-            estimated_spread=graph.n * fraction,
-            num_rr_sets=len(index.collection),
-            collection=index.collection,
-        )
-    collection = FlatRRCollection(graph.n, graph.m)
-    with obs.trace("sampling.node_selection", missing=int(theta)):
-        collection.extend_flat(sampler.sample_random_batch(theta, source))
-    with obs.trace("selection.greedy", k=int(k), theta=int(theta)):
-        result = greedy_max_coverage(collection, graph.n, k)
-    fraction = result.fraction
+    finally:
+        if owned_pool:
+            sampler.close()
+        if owned:
+            index.close()
     return NodeSelectionResult(
         seeds=result.seeds,
-        coverage_fraction=fraction,
-        estimated_spread=graph.n * fraction,
-        num_rr_sets=len(collection),
-        collection=collection,
+        coverage_fraction=result.fraction,
+        estimated_spread=graph.n * result.fraction,
+        num_rr_sets=index.num_sets,
+        collection=index.collection,
     )

@@ -59,6 +59,8 @@ class WeightedRootSampler(RRSampler):
         total = float(weights.sum())
         require(total > 0.0, "at least one node weight must be positive")
         self.inner = inner
+        # Batches come from the inner sampler, so they carry its traces.
+        self.trace_edges = inner.trace_edges
         self.node_weights = weights
         self.total_weight = total
         self._cumulative = np.cumsum(weights)

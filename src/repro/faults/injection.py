@@ -26,6 +26,9 @@ site                  where it fires
                       ``truncate_at`` to tear the written payload)
 ``sketch.load``       start of ``load_sketch``
 ``serve.dispatch``    each ``InfluenceService`` request dispatch attempt
+``price.lb_search``   each iteration of IMM's lower-bound search in
+                      :func:`repro.core.pricing.price`
+``price.grow``        before ``price`` grows the index to the priced θ
 ===================== ====================================================
 
 Checkpoints double as **deadline** checks: :func:`deadline_scope` installs

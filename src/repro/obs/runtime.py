@@ -23,8 +23,8 @@ bytes and tim seeds obs-on vs obs-off.
 
 Span names are dotted: the first component is the *phase group*
 (``kpt.estimate`` and ``kpt.refine`` both roll up under ``kpt`` in
-:func:`phase_breakdown`).  Groups in use: ``kpt``, ``sampling``,
-``selection``, ``sketch``, ``repair``, ``serve``, ``tim``.
+:func:`phase_breakdown`).  Groups in use: ``kpt``, ``price``,
+``sampling``, ``selection``, ``sketch``, ``repair``, ``serve``, ``tim``.
 """
 
 from __future__ import annotations

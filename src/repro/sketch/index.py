@@ -11,14 +11,16 @@ length of its list), and keeps an *incremental* greedy selection state:
 ``select(5)`` then ``select(25)`` continues from the fifth pick instead of
 restarting, so a service answering ascending-k queries pays each greedy
 round once.  The state is the same argmax kernel that
-:func:`repro.rrset.coverage.greedy_max_coverage` runs, which is what
-:func:`repro.core.node_selection.node_selection` calls — so routing
-``tim``/``tim_plus`` through an index changes wall-clock, never seeds.
+:func:`repro.rrset.coverage.greedy_max_coverage` runs, so a selection over
+the index picks the same seeds as one over the bare collection.
 
 Warm-start theta extension: when a query demands a tighter ε than the sketch
 was built for, :meth:`ensure_theta` appends freshly sampled RR sets via
 ``extend_flat`` (never resampling the existing prefix) and invalidates the
-derived structures; :meth:`save` then persists the grown sketch.
+derived structures; :meth:`save` then persists the grown sketch.  How many
+sets an ε needs for a budget ``k`` is priced in one place,
+:func:`repro.core.pricing.price`, which ``build(k=...)``,
+:meth:`ensure_epsilon` and ``tim``/``tim_plus``/``imm`` call.
 
 Edge updates: :meth:`apply_update` repairs only the RR sets an update
 touched (:mod:`repro.dynamic.repair`) and patches the postings of just the
@@ -35,10 +37,8 @@ from typing import Any, Collection, Iterable, cast
 import numpy as np
 
 from repro.api.policy import ExecutionPolicy
-from repro.core.kpt_estimation import estimate_kpt
 from repro.faults import injection as faults
 from repro.obs import runtime as obs
-from repro.core.parameters import adjusted_ell_tim, lambda_param, theta_from_kpt
 from repro.diffusion.base import resolve_model
 from repro.parallel import ParallelSampler, maybe_parallel
 from repro.rrset.base import make_rr_sampler
@@ -72,8 +72,8 @@ class SketchIndex:
         Diffusion model name or instance the sketch was sampled under.
     meta:
         Provenance dictionary (see :mod:`repro.sketch.persistence`); the
-        index keeps it current (``theta``, ``kpt_cache``) as the sketch
-        grows and answers queries.
+        index keeps ``theta`` current as the sketch grows, and
+        :func:`~repro.core.pricing.price` records the latest pricing in it.
     jobs:
         Worker processes for warm-start sampling (``ensure_theta`` /
         ``ensure_epsilon`` and cold builds): ``0`` = all cores, ``None``
@@ -105,6 +105,9 @@ class SketchIndex:
         if graph is not None:
             self.meta.setdefault("graph_fingerprint", graph.fingerprint())
         self.meta["theta"] = len(collection)
+        #: Every pricing of this graph's sketch, keyed by (rule, k, ℓ);
+        #: read and written by :func:`repro.core.pricing.price` only.
+        self.priced: dict[tuple[str, int, float], Any] = {}
         self._sampler: Any = None
         self._jobs = jobs
         self._inv_ptr: np.ndarray[Any, Any] | None = None
@@ -125,18 +128,17 @@ class SketchIndex:
         """Cold-build a sketch: sample θ random RR sets and index them.
 
         Either pass ``theta`` directly, or pass ``k`` and the sketch size is
-        derived from ``algorithm`` for the given ``epsilon``/``ell``:
+        priced by :func:`repro.core.pricing.price` under ``algorithm`` for
+        the given ``epsilon``/``ell``:
 
-        * ``"tim"`` (default) — Algorithm 2's KPT* and θ = ⌈λ/KPT*⌉, making
-          the sketch ε-equivalent to what a ``tim(graph, k, epsilon)`` call
-          would have sampled;
-        * ``"imm"`` — IMM's martingale lower-bound search
-          (:func:`repro.core.imm.imm_ensure`), which typically lands on a
-          substantially smaller θ for the same ε.
+        * ``"tim"`` (default) — Algorithm 2's KPT* and θ = ⌈λ/KPT*⌉, the
+          sketch a ``tim(graph, k, epsilon)`` call selects on;
+        * ``"imm"`` — IMM's martingale lower-bound search, which typically
+          lands on a substantially smaller θ for the same ε.
 
         ``algorithm=None`` resolves from ``policy.algorithm`` (``"imm"``
-        selects the IMM derivation; every other value falls back to the TIM
-        derivation, which is also what TIM+ sketches use).
+        selects the IMM rule; every other value falls back to the TIM rule,
+        which is also what TIM+ sketches use).
 
         ``jobs`` shards the build across worker processes (``0`` = all
         cores); the resulting sketch — and therefore its saved file — is
@@ -165,51 +167,31 @@ class SketchIndex:
                 f"got {algorithm!r}")
         resolved = resolve_model(model)
         resolved.validate_graph(graph)
+        if theta is None:
+            require(k is not None, "build needs theta, or k to derive theta from epsilon")
+            check_k(cast(int, k), graph.n)
+        else:
+            theta = int(theta)
+            require(theta >= 1, "theta must be >= 1")
         source = resolve_rng(rng)
         with obs.trace("sketch.build", model=resolved.name, algorithm=algorithm):
             faults.checkpoint("sketch.build")
             sampler, _ = maybe_parallel(
                 make_rr_sampler(graph, resolved, trace_edges=trace_edges), jobs
             )
+            if theta is None:
+                collection = FlatRRCollection(graph.n, graph.m, track_traces=trace_edges)
+            else:
+                collection = sampler.sample_random_batch(theta, source)
             # "engine" stays in the metadata so saved sketch files keep
             # their bytes and older readers keep loading them.
             meta: dict[str, Any] = {"rng_seed": source.seed, "engine": "vectorized"}
-            if theta is None and algorithm == "imm":
-                # IMM derivation: no KPT estimation phase — the lower-bound
-                # search grows the (initially empty) index directly and the
-                # final sketch *is* the search's reusable sample.
-                from repro.core.imm import imm_ensure
-
-                if k is None:
-                    raise ValueError(
-                        "build needs theta, or k to derive theta from epsilon")
-                check_k(k, graph.n)
-                collection = FlatRRCollection(graph.n, graph.m,
-                                              track_traces=trace_edges)
-                index = cls(collection, graph=graph, model=resolved,
-                            meta=meta, jobs=jobs)
-                index._sampler = sampler
-                imm_ensure(index, k, epsilon, adjusted_ell_tim(ell, graph.n),
-                           rng=source)
-                index.meta.update(ell=ell, k=k)
-                return index
-            if theta is None:
-                if k is None:
-                    raise ValueError(
-                        "build needs theta, or k to derive theta from epsilon")
-                check_k(k, graph.n)
-                ell_adjusted = adjusted_ell_tim(ell, graph.n)
-                kpt_result = estimate_kpt(graph, k, sampler, ell=ell_adjusted, rng=source)
-                theta = theta_from_kpt(
-                    lambda_param(graph.n, k, epsilon, ell_adjusted), kpt_result.kpt_star
-                )
-                meta.update(epsilon=epsilon, ell=ell, k=k,
-                            kpt_star=kpt_result.kpt_star, algorithm="tim")
-            theta = int(theta)
-            require(theta >= 1, "theta must be >= 1")
-            collection = sampler.sample_random_batch(theta, source)
             index = cls(collection, graph=graph, model=resolved, meta=meta, jobs=jobs)
             index._sampler = sampler
+            if theta is None:
+                from repro.core.pricing import price
+
+                price(index, cast(int, k), epsilon, ell, algorithm, source)
         return index
 
     @classmethod
@@ -267,17 +249,17 @@ class SketchIndex:
     # ------------------------------------------------------------------
     # Growth (warm-start theta extension)
     # ------------------------------------------------------------------
-    def _require_sampler(self, jobs: int | None = None) -> Any:
+    def sampler(self, jobs: int | None = None) -> Any:
+        """The RR sampler this index grows with, built on first use.
+
+        ``jobs`` (sticky) re-configures its worker pool.  Algorithm 2 and 3
+        batches that price the sketch are drawn through it too, so they
+        share the pool its growth uses.
+        """
         require(self.graph is not None,
                 "this index has no graph attached; re-load the sketch with "
                 "graph=... to enable sampling")
-        if jobs is not None and jobs != self._jobs:
-            # Re-configure the worker count: tear down any existing pool so
-            # the next batch spawns one with the requested width.  Sampled
-            # bytes do not depend on the worker count, only wall-clock does.
-            self.close()
-            self._sampler = None
-            self._jobs = jobs
+        self._use_jobs(jobs)
         if self._sampler is None:
             # Tracing must follow the collection: extending a traced sketch
             # with untraced batches (or vice versa) is rejected downstream.
@@ -287,6 +269,15 @@ class SketchIndex:
                 self._jobs,
             )
         return self._sampler
+
+    def _use_jobs(self, jobs: int | None) -> None:
+        if jobs is not None and jobs != self._jobs:
+            # Re-configure the worker count: tear down any existing pool so
+            # the next batch spawns one with the requested width.  Sampled
+            # bytes do not depend on the worker count, only wall-clock does.
+            self.close()
+            self._sampler = None
+            self._jobs = jobs
 
     def close(self) -> None:
         """Shut down the warm-start sampling pool, if one is live.
@@ -319,44 +310,28 @@ class SketchIndex:
         missing = int(theta) - len(self.collection)
         if missing <= 0:
             return 0
-        sampler = self._require_sampler(jobs)
+        sampler = self.sampler(jobs)
         batch = sampler.sample_random_batch(missing, resolve_rng(rng))
         self.extend_flat(batch)
         return missing
 
     def ensure_epsilon(self, k: int, epsilon: float, ell: float = 1.0,
                        rng: Any = None, jobs: int | None = None) -> int:
-        """Grow the sketch until it is ε-equivalent for budget ``k``.
+        """Grow the sketch until it is ε-adequate for budget ``k``.
 
-        Recomputes θ = ⌈λ(ε)/KPT*⌉ from the cached KPT* for *this* ``k``
-        (KPT is k-dependent — Equation 8's κ uses k — so the cache is keyed
-        by k; a fresh Algorithm 2 run fills a miss) and extends to it;
-        returns the number of sets added.
+        Prices θ with :func:`repro.core.pricing.price` under the rule the
+        sketch was priced with (``meta["algorithm"]``; ``"tim"`` for a
+        sketch built with a fixed ``theta``) and extends to it; returns the
+        number of sets added.  The lower bound is k-dependent, so a bound
+        priced for one ``k`` never prices another; a repeat for a priced
+        ``k`` reuses its bound and samples only the shortfall.
         """
-        check_k(k, self.num_nodes)
-        source = resolve_rng(rng)
-        ell_adjusted = adjusted_ell_tim(ell, self.num_nodes)
-        kpt_by_k = self.meta.setdefault("kpt_star_by_k", {})
-        if "kpt_star" in self.meta and self.meta.get("k") is not None:
-            # Seed the per-k cache with the build-time estimate.
-            kpt_by_k.setdefault(str(self.meta["k"]), self.meta["kpt_star"])
-        kpt_star = kpt_by_k.get(str(k))
-        if kpt_star is None:
-            sampler = self._require_sampler(jobs)
-            kpt_star = estimate_kpt(
-                self.graph, k, sampler, ell=ell_adjusted, rng=source
-            ).kpt_star
-            kpt_by_k[str(k)] = kpt_star
-        theta = theta_from_kpt(
-            lambda_param(self.num_nodes, k, epsilon, ell_adjusted), kpt_star
-        )
-        added = self.ensure_theta(theta, rng=source, jobs=jobs)
-        # The collection now meets θ(ε) whether or not sets were added — a
-        # tighter-ε request already satisfied by the current θ must still
-        # update the certification metadata (recording only on growth left
-        # persisted sketches under-reporting what they certify).
-        self.record_epsilon(epsilon)
-        return added
+        from repro.core.pricing import price
+
+        self._use_jobs(jobs)
+        before = self.num_sets
+        price(self, k, epsilon, ell, self.meta.get("algorithm", "tim"), rng)
+        return self.num_sets - before
 
     def record_epsilon(self, epsilon: float) -> None:
         """Record ``epsilon`` as certified if it is the tightest ε so far.
@@ -391,7 +366,7 @@ class SketchIndex:
         patch is computed before any index state changes: if the repair or
         the patch raises, the index keeps serving the old snapshot.  The
         index then rebinds to the new graph: fingerprint metadata moves
-        forward, stale KPT caches drop, and the greedy selection state
+        forward, stale pricings drop, and the greedy selection state
         starts over from the patched postings.
 
         Returns the :class:`~repro.dynamic.repair.RepairReport`.
@@ -439,30 +414,16 @@ class SketchIndex:
         self.meta["graph_fingerprint"] = delta.new_fingerprint
         self.meta["theta"] = len(self.collection)
         self.meta["dynamic_updates"] = int(self.meta.get("dynamic_updates", 0)) + 1
-        # KPT/κ statistics were estimated on the old graph; they no longer
-        # certify θ for the new one.  Drop them so the next ensure_epsilon
+        # Lower bounds on OPT were estimated on the old graph; they no
+        # longer certify θ for the new one.  Drop them so the next pricing
         # re-estimates instead of silently trusting stale numbers.
-        for stale in ("kpt_cache", "kpt_star_by_k", "kpt_star"):
+        self.priced.clear()
+        for stale in ("kpt_star", "kpt_plus", "imm_lower_bound"):
             self.meta.pop(stale, None)
         self.invalidate()
         if postings is not None:
             self._inv_ptr, self._inv_sets = postings
         return report
-
-    # ------------------------------------------------------------------
-    # KPT cache (lets a warm `tim` call skip Algorithm 2 entirely)
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _kpt_key(k: int, refine: bool) -> str:
-        return f"k={int(k)}|refine={bool(refine)}"
-
-    def cached_kpt(self, k: int, refine: bool) -> dict[str, Any] | None:
-        """A previously computed ``{"kpt_star": .., "kpt_plus": ..}`` record."""
-        record = self.meta.get("kpt_cache", {}).get(self._kpt_key(k, refine))
-        return cast("dict[str, Any] | None", record)
-
-    def store_kpt(self, k: int, refine: bool, record: dict[str, Any]) -> None:
-        self.meta.setdefault("kpt_cache", {})[self._kpt_key(k, refine)] = dict(record)
 
     # ------------------------------------------------------------------
     # Queries

@@ -14,9 +14,10 @@ arrays of a :class:`~repro.rrset.flat_collection.FlatRRCollection` —
   (:class:`SketchGraphMismatchError`), because RR sets are only meaningful
   against the exact graph they were drawn from,
 * sampler metadata: ``model``, ``theta`` (the sketch size, i.e. the
-  ε-equivalent sample count), ``rng_seed``, and optional ``epsilon`` /
-  ``ell`` / ``k`` / ``kpt_cache`` entries written by
-  :class:`~repro.sketch.index.SketchIndex`.
+  ε-equivalent sample count), ``rng_seed``, and the latest pricing that
+  :func:`repro.core.pricing.price` records: ``algorithm`` / ``k`` /
+  ``ell`` with its lower bound (``kpt_star``, ``kpt_plus`` or
+  ``imm_lower_bound``) and the tightest ``epsilon`` the sketch meets.
 
 Two load paths:
 

@@ -177,9 +177,10 @@ class InfluenceService:
         Capacity of the LRU; the least-recently-used index is evicted when a
         build would exceed it.
     default_k:
-        Budget whose θ a cold miss derives the TIM way from
-        ``policy.epsilon``; ``theta`` overrides the derivation with a fixed
-        sketch size.
+        Budget whose θ a cold miss prices at ``policy.epsilon`` with
+        :func:`repro.core.pricing.price`, under ``policy.algorithm``
+        (``"imm"`` selects IMM's rule, anything else TIM's), as a session
+        does; ``theta`` overrides the pricing with a fixed sketch size.
     policy:
         The :class:`~repro.api.policy.ExecutionPolicy` (or a dict of its
         fields) for cold builds and requests: ``epsilon``/``ell`` price θ;
@@ -275,11 +276,8 @@ class InfluenceService:
             model,
             theta=self.theta,
             k=None if self.theta is not None else self.default_k,
-            epsilon=self.policy.epsilon,
-            ell=self.policy.ell,
             rng=self._rng.spawn(),
-            jobs=self.policy.jobs,
-            trace_edges=self.policy.trace_edges,
+            policy=self.policy,
         )
         self._indexes[key] = index
         self._evict()

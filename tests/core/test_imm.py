@@ -10,10 +10,10 @@ from repro.algorithms import maximize_influence
 from repro.core import (
     IMMResult,
     imm,
-    imm_ensure,
     imm_epsilon_prime,
     imm_lambda_prime,
     imm_lambda_star,
+    price,
     tim_plus,
 )
 from repro.core.parameters import adjusted_ell_tim
@@ -202,15 +202,15 @@ class TestSketchReuse:
         assert warm.total_rr_sets <= cold.total_rr_sets
         assert warm.theta >= 1
 
-    def test_imm_ensure_on_fresh_index(self, small_wc_graph):
+    def test_imm_price_on_fresh_index(self, small_wc_graph):
         collection = FlatRRCollection(small_wc_graph.n, small_wc_graph.m)
         index = SketchIndex(collection, graph=small_wc_graph, model="IC")
         try:
-            growth = imm_ensure(
-                index, 3, 0.5, adjusted_ell_tim(1.0, small_wc_graph.n), rng=7)
-            assert index.num_sets >= growth.theta
-            assert len(growth.selection.seeds) == 3
-            assert growth.rr_sets_per_phase["lb_search"] >= 1
+            pricing = price(index, 3, 0.5, 1.0, "imm", rng=7)
+            assert pricing.ell_adjusted == adjusted_ell_tim(1.0, small_wc_graph.n)
+            assert index.num_sets >= pricing.theta
+            assert len(index.select(3).seeds) == 3
+            assert pricing.rr_sets_per_phase["lb_search"] >= 1
         finally:
             index.close()
 

@@ -67,6 +67,23 @@ class TestWeightedRootSampler:
                      "costs_array"):
             assert np.array_equal(getattr(batches[0], name), getattr(batches[1], name))
 
+    def test_parallel_shards_keep_edge_traces(self):
+        # The pool merges shard traces only when the sampler it wraps says
+        # it traces; the weighted wrapper reports its inner sampler's flag.
+        graph = weighted_cascade(gnm_random_digraph(300, 1500, rng=1))
+        batches = []
+        for jobs in (1, 2):
+            inner = make_rr_sampler(graph, "IC", trace_edges=True)
+            with ParallelSampler(WeightedRootSampler(inner, np.ones(graph.n)),
+                                 jobs=jobs) as sampler:
+                batches.append(sampler.sample_random_batch(3000, rng=1))
+        for batch in batches:
+            assert batch.has_traces
+            assert len(batch) == 3000 and batch.trace_edges_array.size > 0
+        for name in ("ptr_array", "nodes_array", "roots_array", "trace_ptr_array",
+                     "trace_edges_array"):
+            assert np.array_equal(getattr(batches[0], name), getattr(batches[1], name))
+
     @pytest.mark.parametrize("jobs", [None, 1, 2])
     def test_node_selection_keeps_weighted_roots(self, jobs):
         graph = weighted_cascade(gnm_random_digraph(60, 300, rng=1))

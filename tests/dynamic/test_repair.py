@@ -296,7 +296,7 @@ class TestIndexApplyUpdate:
         assert index.graph is dyn.graph
         assert index.meta["graph_fingerprint"] == dyn.fingerprint()
         assert index.meta["dynamic_updates"] == 1
-        assert "kpt_cache" not in index.meta and "kpt_star_by_k" not in index.meta
+        assert index.priced == {} and "kpt_star" not in index.meta
         # Postings/selection state rebuilt against the repaired sketch.
         result = index.select(3)
         assert len(result.seeds) == 3

@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import json
+import pathlib
+import re
 
 import pytest
+
+import repro
 
 from repro.faults import (
     DeadlineExceeded,
@@ -196,3 +200,15 @@ class TestDeadlines:
             assert injection.enabled()
             assert injection.checkpoint("anything") is None  # within budget
         assert not injection.enabled()
+
+
+class TestSiteRegistry:
+    def test_every_checkpoint_site_is_registered(self):
+        """The module docstring's site table lists every checkpoint in src/."""
+        registered = set(re.findall(r"^``([a-z_.]+)``", injection.__doc__, re.MULTILINE))
+        used = set()
+        for path in pathlib.Path(repro.__file__).parent.rglob("*.py"):
+            text = path.read_text(encoding="utf-8")
+            used.update(re.findall(r"\bcheckpoint\(\s*\"([^\"]+)\"", text))
+        assert used, "no checkpoint literals found"
+        assert used <= registered, f"unregistered sites: {sorted(used - registered)}"

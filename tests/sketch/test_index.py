@@ -290,7 +290,7 @@ class TestKptCacheKeying:
         """KPT* is k-dependent; a cached value for one k must not price another."""
         index = SketchIndex.build(wc_graph, "IC", k=10, epsilon=0.8, rng=11)
         index.ensure_epsilon(2, epsilon=0.8, rng=12)
-        by_k = index.meta["kpt_star_by_k"]
-        assert set(by_k) == {"10", "2"}
+        by_k = {k: pricing.kpt_star for (_, k, _), pricing in index.priced.items()}
+        assert set(by_k) == {10, 2}
         # KPT is non-decreasing in k (Equation 7).
-        assert by_k["10"] >= by_k["2"]
+        assert by_k[10] >= by_k[2]
