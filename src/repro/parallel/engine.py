@@ -49,6 +49,7 @@ from repro.parallel.shared_graph import graph_payload
 from repro.parallel.shm import pack_arrays
 from repro.parallel.worker import init_worker, run_shard, run_shard_with, sampler_spec
 from repro.rrset.flat_collection import FlatRRCollection
+from repro.utils.memory import release_free_heap
 from repro.utils.rng import resolve_rng, spawn_seed_streams
 from repro.utils.validation import require
 
@@ -121,6 +122,18 @@ def maybe_parallel(sampler, jobs):
     if jobs is None:
         return sampler, False
     return ParallelSampler(sampler, jobs=jobs), True
+
+
+def _owned(result: tuple) -> tuple:
+    """A pool result copied into arrays this thread allocates.
+
+    The executor unpickles results on its manager thread, so glibc serves
+    them from that thread's arena.  ``malloc_trim`` cannot shrink the top of
+    such an arena, and every worker a later pool forks maps all of it.
+    Copying each result as it arrives keeps that arena to the few results
+    in flight.
+    """
+    return tuple(None if array is None else array.copy() for array in result)
 
 
 def _shutdown_state(state: dict) -> None:
@@ -233,13 +246,48 @@ class ParallelSampler:
         entropy = source.py.getrandbits(63)
         return spawn_seed_streams(entropy, num_shards)
 
-    def _merge(self, shards) -> FlatRRCollection:
+    def _merge(self, shards: list) -> FlatRRCollection:
+        """Concatenate the shard results, in shard order, into one collection.
+
+        Each packed array is allocated once at its final size and filled
+        shard by shard, and a shard leaves ``shards`` as soon as it is
+        copied, so the merge holds one output beside the shards not yet
+        copied.  The empty collection adopts the arrays uncopied.
+        """
         graph = self._sampler.graph
         track = bool(getattr(self._sampler, "trace_edges", False))
         out = FlatRRCollection(graph.n, graph.m, track_traces=track)
-        for ptr, nodes, roots, widths, costs, trace_ptr, trace_edges in shards:
-            out.extend_arrays(roots=roots, ptr=ptr, nodes=nodes, widths=widths,
-                              costs=costs, trace_ptr=trace_ptr, trace_edges=trace_edges)
+        if not shards:
+            return out
+        num_sets = sum(int(shard[2].size) for shard in shards)
+        ptr = np.zeros(num_sets + 1, dtype=np.int64)
+        nodes = np.empty(sum(int(shard[1].size) for shard in shards), dtype=np.int32)
+        roots = np.empty(num_sets, dtype=np.int32)
+        widths = np.empty(num_sets, dtype=np.int64)
+        costs = np.empty(num_sets, dtype=np.int64)
+        trace_ptr = trace_edges = None
+        if track:
+            trace_ptr = np.zeros(num_sets + 1, dtype=np.int64)
+            trace_edges = np.empty(sum(int(shard[6].size) for shard in shards),
+                                   dtype=np.int32)
+        set_at = entry_at = trace_at = 0
+        for position, shard in enumerate(shards):
+            shards[position] = None
+            s_ptr, s_nodes, s_roots, s_widths, s_costs, s_trace_ptr, s_trace_edges = shard
+            end = set_at + s_roots.size
+            ptr[set_at + 1 : end + 1] = s_ptr[1:] + entry_at
+            nodes[entry_at : entry_at + s_nodes.size] = s_nodes
+            roots[set_at:end] = s_roots
+            widths[set_at:end] = s_widths
+            costs[set_at:end] = s_costs
+            entry_at += s_nodes.size
+            if track:
+                trace_ptr[set_at + 1 : end + 1] = s_trace_ptr[1:] + trace_at
+                trace_edges[trace_at : trace_at + s_trace_edges.size] = s_trace_edges
+                trace_at += s_trace_edges.size
+            set_at = end
+        out.extend_arrays(roots=roots, ptr=ptr, nodes=nodes, widths=widths, costs=costs,
+                          trace_ptr=trace_ptr, trace_edges=trace_edges)
         return out
 
     # ------------------------------------------------------------------
@@ -267,7 +315,7 @@ class ParallelSampler:
                 if executor is None:
                     return self._run_shards_inline(tasks)
                 obs.add("parallel.pool_waves")
-                return list(executor.map(run_shard, tasks))
+                return [_owned(result) for result in executor.map(run_shard, tasks)]
             except (BrokenExecutor, TransientError) as exc:
                 last_error = exc
                 self._teardown_pool()
@@ -316,6 +364,9 @@ class ParallelSampler:
         # The pack goes into _state *before* the executor is built so a
         # failed spawn still releases the graph-sized segments via teardown.
         self._state["pack"] = pack
+        # Workers fork at the first map, right after this: hand the freed
+        # heap back first, or each worker maps what an earlier solve left.
+        release_free_heap()
         try:
             payload = {
                 "graph": pack.describe(),

@@ -26,7 +26,7 @@ from typing import Collection, Sequence
 import numpy as np
 
 from repro.rrset.flat_collection import FlatRRCollection, _check_node_ids
-from repro.utils.sorting import group_sort
+from repro.utils.sorting import scatter_runs
 from repro.utils.validation import require
 
 __all__ = [
@@ -102,23 +102,57 @@ def _decrement(counts: np.ndarray, members: np.ndarray) -> None:
         np.subtract.at(counts, members, 1)
 
 
+#: Most entries one chunk of the postings build holds.  A chunk's scratch
+#: (int32 sort keys and node ids, int64 write positions and set ids) is
+#: about 32 bytes an entry, 16 MiB at this size.
+POSTINGS_CHUNK_ENTRIES = 1 << 19
+
+_INT32_MAX = int(np.iinfo(np.int32).max)
+
+
 def _inverted_index(
     ptr: np.ndarray, nodes: np.ndarray, num_nodes: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """CSR map node → ids of the sets containing it, both int64.
 
     Each node's slice lists its set ids in increasing order, the order a
-    stable sort of ``nodes`` gives.  The set ids are the members of one
-    packed-key :func:`~repro.utils.sorting.group_sort`, so they come straight
-    out of the sort with no gather through a permutation.
+    stable sort of ``nodes`` gives.  ``inv_sets`` is allocated once at its
+    final size and filled one chunk of consecutive sets at a time.  A chunk
+    holds at most :data:`POSTINGS_CHUNK_ENTRIES` entries (or one set) and
+    at most ⌊(2³¹−1)/num_nodes⌋ sets, so its packed (node, local set) keys
+    fit in int32.  One sort of those keys groups the chunk by node in set
+    order, and each node's run is written at the node's running offset, so
+    chunks taken in set order leave every slice in set order.  Besides the
+    output the build holds one chunk's scratch: no int64 array per entry of
+    the whole sketch.
     """
-    # bincount widens int32 nodes to a full int64 copy: count before the
-    # sort so that copy is gone before the sort's two int64 arrays exist.
-    inv_ptr = np.zeros(num_nodes + 1, dtype=np.int64)
-    np.cumsum(np.bincount(nodes, minlength=num_nodes), out=inv_ptr[1:])
     num_sets = ptr.size - 1
-    set_of_entry = np.repeat(np.arange(num_sets, dtype=np.int64), np.diff(ptr))
-    return inv_ptr, group_sort(nodes, set_of_entry, num_sets)
+    span_cap = max(1, _INT32_MAX // max(num_nodes, 1))
+    bounds = [0]
+    while bounds[-1] < num_sets:
+        lo = bounds[-1]
+        hi = int(np.searchsorted(ptr, ptr[lo] + POSTINGS_CHUNK_ENTRIES, side="right")) - 1
+        bounds.append(min(max(hi, lo + 1), lo + span_cap, num_sets))
+    # bincount widens each block to int64; blocks of at least num_nodes
+    # entries keep its O(num_nodes) output from dominating.
+    counts = np.zeros(num_nodes, dtype=np.int64)
+    block = max(POSTINGS_CHUNK_ENTRIES, num_nodes)
+    for lo in range(0, nodes.size, block):
+        counts += np.bincount(nodes[lo : lo + block], minlength=num_nodes)
+    inv_ptr = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(counts, out=inv_ptr[1:])
+    inv_sets = np.empty(int(inv_ptr[-1]), dtype=np.int64)
+    cursor = inv_ptr[:-1].copy()
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        span = hi - lo
+        keys = nodes[ptr[lo] : ptr[hi]].astype(np.int32)
+        keys *= span
+        keys += np.repeat(np.arange(span, dtype=np.int32), np.diff(ptr[lo : hi + 1]))
+        keys.sort()
+        chunk_nodes = keys // span
+        np.remainder(keys, span, out=keys)
+        scatter_runs(inv_sets, cursor, chunk_nodes, np.add(keys, lo, dtype=np.int64))
+    return inv_ptr, inv_sets
 
 
 def _splice_payload(old_ptr: np.ndarray, old_payload: np.ndarray, repl_ptr: np.ndarray,

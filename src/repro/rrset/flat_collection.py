@@ -19,7 +19,10 @@ frequencies) becomes a handful of vectorised numpy calls:
 
 The arrays grow by amortised doubling so ``append``/``extend_flat`` stay
 O(1) per stored node, and :meth:`nbytes` reports *exact* array payloads —
-the honest number behind the Figure 12 memory reproduction.
+the honest number behind the Figure 12 memory reproduction.  An empty
+collection takes its first bulk batch without copying it: it adopts the
+arrays, which carry no spare capacity, so the next append grows into fresh
+buffers and never writes into memory it shares.
 """
 
 from __future__ import annotations
@@ -287,6 +290,10 @@ class FlatRRCollection:
         ``trace_ptr``/``trace_edges`` carry the batch's edge traces in the
         same local-offset form and are mandatory iff the collection tracks
         traces.
+
+        An empty collection adopts the arrays instead of copying them (those
+        of another dtype are converted first), so the caller hands them
+        over: a sampler's commit, a merge of shards or :meth:`extend_flat`.
         """
         extra_sets = int(roots.size)
         extra_entries = int(nodes.size)
@@ -302,6 +309,11 @@ class FlatRRCollection:
         if self._track_traces:
             require(trace_ptr.size == extra_sets + 1, "trace_ptr/roots length mismatch")
             _check_trace_ids(trace_edges, self.graph_edges)
+        if self._num_sets == 0 and int(ptr[0]) == 0 and (
+            not self._track_traces or int(trace_ptr[0]) == 0
+        ):
+            self._adopt(roots, ptr, nodes, widths, costs, trace_ptr, trace_edges)
+            return
         self._reserve(self._num_sets + extra_sets, self._num_entries + extra_entries,
                       self._num_trace_entries + extra_trace)
         self._nodes[self._num_entries : self._num_entries + extra_entries] = nodes
@@ -324,14 +336,41 @@ class FlatRRCollection:
         self._num_sets += extra_sets
         self._num_entries += extra_entries
 
+    def _adopt(self, roots, ptr, nodes, widths, costs, trace_ptr, trace_edges) -> None:
+        """Take a whole batch as this empty collection's storage, uncopied."""
+        self._ptr = np.asarray(ptr, dtype=_PTR_DTYPE)
+        self._nodes = np.asarray(nodes, dtype=_NODE_DTYPE)
+        self._widths = np.asarray(widths, dtype=np.int64)
+        self._roots = np.asarray(roots, dtype=_NODE_DTYPE)
+        self._costs = np.asarray(costs, dtype=np.int64)
+        self._num_sets = int(self._roots.size)
+        self._num_entries = int(self._nodes.size)
+        self._total_cost = int(self._costs.sum())
+        if self._track_traces:
+            self._trace_ptr = np.asarray(trace_ptr, dtype=_PTR_DTYPE)
+            self._trace_edges = np.asarray(trace_edges, dtype=_TRACE_DTYPE)
+            self._num_trace_entries = int(self._trace_edges.size)
+
     def truncate(self, num_sets: int) -> None:
-        """Drop every RR set after the first ``num_sets`` (RIS budget trim)."""
+        """Drop every RR set after the first ``num_sets`` (RIS budget trim).
+
+        The arrays shrink to the kept prefix, so a later append grows into
+        fresh buffers rather than overwriting sets another collection may
+        have adopted.
+        """
         require(0 <= num_sets <= self._num_sets, "truncate target out of range")
         self._num_sets = num_sets
         self._num_entries = int(self._ptr[num_sets])
         self._total_cost = int(self._costs[:num_sets].sum()) if num_sets else 0
+        self._ptr = self._ptr[: num_sets + 1]
+        self._nodes = self._nodes[: self._num_entries]
+        self._widths = self._widths[:num_sets]
+        self._roots = self._roots[:num_sets]
+        self._costs = self._costs[:num_sets]
         if self._track_traces:
             self._num_trace_entries = int(self._trace_ptr[num_sets])
+            self._trace_ptr = self._trace_ptr[: num_sets + 1]
+            self._trace_edges = self._trace_edges[: self._num_trace_entries]
 
     def _reserve(self, num_sets: int, num_entries: int, num_trace_entries: int = 0) -> None:
         self._ptr = _grow(self._ptr, num_sets + 1)
@@ -503,16 +542,22 @@ class FlatRRCollection:
     # Estimators (vectorised)
     # ------------------------------------------------------------------
     def coverage_count(self, nodes) -> int:
-        """Number of stored RR sets intersecting ``nodes``."""
+        """Number of stored RR sets intersecting ``nodes``.
+
+        Raises :class:`ValueError` for a node id outside ``[0, num_nodes)``.
+        """
+        ids = np.asarray(list(nodes), dtype=np.int64)
+        _check_node_ids(ids, self.num_nodes)
         if self._num_sets == 0:
             return 0
         mask = np.zeros(self.num_nodes, dtype=bool)
-        mask[np.asarray(list(nodes), dtype=np.int64)] = True
-        hits = mask[self.nodes_array]
-        if not hits.any():
+        mask[ids] = True
+        hit_at = np.flatnonzero(mask[self.nodes_array])
+        if hit_at.size == 0:
             return 0
-        set_ids = np.repeat(np.arange(self._num_sets), self.set_sizes())
-        return int(np.count_nonzero(np.bincount(set_ids[hits], minlength=self._num_sets)))
+        # Hits come in entry order, so their owning set ids are non-decreasing.
+        owners = np.searchsorted(self.ptr_array, hit_at, side="right")
+        return int(np.count_nonzero(np.diff(owners))) + 1
 
     def coverage_fraction(self, nodes) -> float:
         """``F_R(S)``: fraction of RR sets covered by ``S``."""

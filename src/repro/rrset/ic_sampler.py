@@ -29,9 +29,9 @@ from repro.graphs.digraph import DiGraph
 from repro.obs import runtime as obs
 from repro.obs.registry import SIZE_BUCKETS
 from repro.rrset.base import RRSampler
+from repro.rrset.commit import commit_batch
 from repro.rrset.flat_collection import FlatRRCollection
 from repro.utils.rng import RandomSource, resolve_rng
-from repro.utils.sorting import group_sort
 
 __all__ = ["ICRRSampler"]
 
@@ -190,20 +190,21 @@ class ICRRSampler(RRSampler):
         Each in-flight sample owns one row of ``visited``; finished rows are
         wiped (one contiguous memset) and recycled to admit the next root,
         so the wave width stays near the pool size instead of decaying into
-        long tails of tiny frontiers.
+        long tails of tiny frontiers.  The per-wave member lists hold int32
+        sample and node ids until the commit.
         """
         n = self.graph.n
         num_rows = visited.shape[0]
         total = int(roots.size)
         id_dtype = np.int32 if num_rows * n < 2**31 else np.int64
-        sample_of_row = np.empty(num_rows, dtype=np.int64)
+        sample_of_row = np.empty(num_rows, dtype=np.int32)
         free_rows: list[int] = list(range(num_rows - 1, -1, -1))
         member_samples: list[np.ndarray] = []
         member_nodes: list[np.ndarray] = []
         trace_samples: list[np.ndarray] | None = [] if self.trace_edges else None
         trace_edge_ids: list[np.ndarray] | None = [] if self.trace_edges else None
         next_root = 0
-        active_s = np.empty(0, dtype=np.int64)
+        active_s = np.empty(0, dtype=np.int32)
         active_v = np.empty(0, dtype=np.int64)
         active_r = np.empty(0, dtype=id_dtype)
         row_live = np.zeros(num_rows, dtype=bool)
@@ -214,14 +215,14 @@ class ICRRSampler(RRSampler):
                 take = min(len(free_rows), total - next_root)
                 new_r = np.array(free_rows[-take:][::-1], dtype=id_dtype)
                 del free_rows[-take:]
-                new_s = np.arange(next_root, next_root + take, dtype=np.int64)
+                new_s = np.arange(next_root, next_root + take, dtype=np.int32)
                 new_v = roots[next_root : next_root + take]
                 next_root += take
                 sample_of_row[new_r] = new_s
                 row_live[new_r] = True
                 visited[new_r, new_v] = True
                 member_samples.append(new_s)
-                member_nodes.append(new_v)
+                member_nodes.append(new_v.astype(np.int32))
                 active_s = np.concatenate([active_s, new_s])
                 active_v = np.concatenate([active_v, new_v])
                 active_r = np.concatenate([active_r, new_r])
@@ -239,7 +240,7 @@ class ICRRSampler(RRSampler):
                 # visited filter and the within-wave dedup, because a success
                 # into an already-reached member is still a live edge.
                 trace_samples.append(sample_of_row[active_r[hit_pos]])
-                trace_edge_ids.append(hit_e)
+                trace_edge_ids.append(hit_e.astype(np.int32))
             key = np.empty(0, dtype=id_dtype)
             if hit_pos.size:
                 # One flat (row·n + node) key drives everything: the visited
@@ -256,12 +257,13 @@ class ICRRSampler(RRSampler):
                     key = key[keep]
                 visited_flat[key] = True
                 cand_r = key // id_dtype(n)
-                cand_v = (key % id_dtype(n)).astype(np.int64, copy=False)
+                cand_node = key % id_dtype(n)
+                cand_v = cand_node.astype(np.int64, copy=False)
                 cand_s = sample_of_row[cand_r]
                 member_samples.append(cand_s)
-                member_nodes.append(cand_v)
+                member_nodes.append(cand_node.astype(np.int32, copy=False))
             else:
-                cand_s = np.empty(0, dtype=np.int64)
+                cand_s = np.empty(0, dtype=np.int32)
                 cand_v = np.empty(0, dtype=np.int64)
                 cand_r = np.empty(0, dtype=id_dtype)
             # Rows whose frontier died this wave are wiped and recycled.
@@ -361,50 +363,16 @@ class ICRRSampler(RRSampler):
         trace_samples: list[np.ndarray] | None = None,
         trace_edge_ids: list[np.ndarray] | None = None,
     ) -> None:
-        """Group membership by sample and bulk-append the batch to ``out``.
+        """Append the batch to ``out`` through the shared
+        :func:`~repro.rrset.commit.commit_batch`, which consumes the lists.
 
         Each set keeps its members in discovery order, root first, and its
-        trace in coin order: both lists are grouped by sample id with
-        :func:`~repro.utils.sorting.group_sort` over entry positions, a
-        stable grouping.
+        trace in coin order.  ``widths`` is ``None`` for unbounded sampling:
+        w(R) is then Σ in-degree over the final membership.
         """
-        batch = int(roots.size)
-        all_s = member_samples[0] if len(member_samples) == 1 else np.concatenate(member_samples)
-        all_v = member_nodes[0] if len(member_nodes) == 1 else np.concatenate(member_nodes)
-        if widths is None:
-            # Unbounded: w(R) = Σ in-degree over the final membership.
-            widths = np.bincount(
-                all_s, weights=self._np_in_deg[all_v], minlength=batch
-            ).astype(np.int64)
-        # Gather at once, so the permutation is freed before the trace sort.
-        order = group_sort(all_s, np.arange(all_s.size, dtype=np.int64), all_s.size)
-        nodes = all_v[order].astype(np.int32, copy=False)
-        del order
-        sizes = np.bincount(all_s, minlength=batch)
-        local_ptr = np.zeros(batch + 1, dtype=np.int64)
-        np.cumsum(sizes, out=local_ptr[1:])
-        trace_ptr = trace_edges = None
-        if trace_samples is not None:
-            if trace_samples:
-                t_s = np.concatenate(trace_samples)
-                t_e = np.concatenate(trace_edge_ids)
-            else:
-                t_s = np.empty(0, dtype=np.int64)
-                t_e = np.empty(0, dtype=np.int64)
-            t_order = group_sort(t_s, np.arange(t_s.size, dtype=np.int64), t_s.size)
-            t_sizes = np.bincount(t_s, minlength=batch)
-            trace_ptr = np.zeros(batch + 1, dtype=np.int64)
-            np.cumsum(t_sizes, out=trace_ptr[1:])
-            trace_edges = t_e[t_order].astype(np.int32, copy=False)
-        out.extend_arrays(
-            roots=roots,
-            ptr=local_ptr,
-            nodes=nodes,
-            widths=widths,
-            costs=sizes + widths,
-            trace_ptr=trace_ptr,
-            trace_edges=trace_edges,
-        )
+        commit_batch(out, roots, member_samples, member_nodes, self._np_in_deg,
+                     widths=widths, trace_samples=trace_samples,
+                     trace_edge_ids=trace_edge_ids)
 
     def _finish_tail(
         self,
@@ -475,11 +443,11 @@ class ICRRSampler(RRSampler):
                         extra_v.append(source_node)
                         queue.append((sample, row_id, source_node, level + 1))
         if extra_s:
-            member_samples.append(np.asarray(extra_s, dtype=np.int64))
-            member_nodes.append(np.asarray(extra_v, dtype=np.int64))
+            member_samples.append(np.asarray(extra_s, dtype=np.int32))
+            member_nodes.append(np.asarray(extra_v, dtype=np.int32))
         if tracing and extra_ts:
-            trace_samples.append(np.asarray(extra_ts, dtype=np.int64))
-            trace_edge_ids.append(np.asarray(extra_te, dtype=np.int64))
+            trace_samples.append(np.asarray(extra_ts, dtype=np.int32))
+            trace_edge_ids.append(np.asarray(extra_te, dtype=np.int32))
 
     def _expand_wave(
         self, active_v: np.ndarray, source: RandomSource

@@ -29,9 +29,9 @@ from repro.graphs.weights import validate_lt_weights
 from repro.obs import runtime as obs
 from repro.obs.registry import SIZE_BUCKETS
 from repro.rrset.base import RRSampler
+from repro.rrset.commit import commit_batch
 from repro.rrset.flat_collection import FlatRRCollection
 from repro.utils.rng import resolve_rng
-from repro.utils.sorting import group_sort
 
 __all__ = ["LTRRSampler"]
 
@@ -239,45 +239,11 @@ class LTRRSampler(RRSampler):
         trace_samples: list[np.ndarray] | None = None,
         trace_edge_ids: list[np.ndarray] | None = None,
     ) -> None:
-        """Group the chunk's walks by sample and bulk-append them to ``out``.
+        """Append the chunk's walks to ``out`` through the shared
+        :func:`~repro.rrset.commit.commit_batch`.
 
         Each set keeps its members in hop order, root first, and its trace
-        in pick order: both lists are grouped by sample id with
-        :func:`~repro.utils.sorting.group_sort` over entry positions, a
-        stable grouping.
+        in pick order.  A walk draws once per member, so its cost is 2|R|.
         """
-        batch = int(chunk_roots.size)
-        sizes = np.bincount(all_s, minlength=batch)
-        local_ptr = np.zeros(batch + 1, dtype=np.int64)
-        np.cumsum(sizes, out=local_ptr[1:])
-        # Gather at once, so the permutation is freed before the trace sort.
-        order = group_sort(all_s, np.arange(all_s.size, dtype=np.int64), all_s.size)
-        nodes = all_v[order].astype(np.int32, copy=False)
-        del order
-        widths = np.bincount(
-            all_s, weights=self._np_in_deg[all_v], minlength=batch
-        ).astype(np.int64)
-        trace_ptr = trace_edges = None
-        if trace_samples is not None:
-            if trace_samples:
-                t_s = np.concatenate(trace_samples)
-                t_e = np.concatenate(trace_edge_ids)
-            else:
-                t_s = np.empty(0, dtype=np.int64)
-                t_e = np.empty(0, dtype=np.int64)
-            t_order = group_sort(t_s, np.arange(t_s.size, dtype=np.int64), t_s.size)
-            t_sizes = np.bincount(t_s, minlength=batch)
-            trace_ptr = np.zeros(batch + 1, dtype=np.int64)
-            np.cumsum(t_sizes, out=trace_ptr[1:])
-            trace_edges = t_e[t_order].astype(np.int32, copy=False)
-        # A walk draws exactly |R| times (one per member, the last
-        # draw being the one that stops it), so cost = |R| + draws = 2|R|.
-        out.extend_arrays(
-            roots=chunk_roots,
-            ptr=local_ptr,
-            nodes=nodes,
-            widths=widths,
-            costs=2 * sizes,
-            trace_ptr=trace_ptr,
-            trace_edges=trace_edges,
-        )
+        commit_batch(out, chunk_roots, [all_s], [all_v], self._np_in_deg, walk=True,
+                     trace_samples=trace_samples, trace_edge_ids=trace_edge_ids)

@@ -306,11 +306,16 @@ class SketchIndex:
         makes repeated tighter-ε queries cheap).  ``jobs`` (sticky: it
         becomes the index default) shards the extension across worker
         processes with worker-count-invariant bytes.
+
+        The postings and the greedy state describe the old sets, and the
+        next query rebuilds them anyway, so they are dropped before the
+        batch is sampled rather than held beside it.
         """
         missing = int(theta) - len(self.collection)
         if missing <= 0:
             return 0
         sampler = self.sampler(jobs)
+        self.invalidate()
         batch = sampler.sample_random_batch(missing, resolve_rng(rng))
         self.extend_flat(batch)
         return missing

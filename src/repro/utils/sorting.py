@@ -9,6 +9,11 @@ int64 key and runs one plain ``np.sort`` instead.  For the postings of a
 25M-entry, 500k-set sketch on a 2-core x86 host with numpy 2.4, that took
 0.82 s and a 382 MB traced peak, against 5.80 s and 572 MB for the stable
 argsort and its gather.
+
+:func:`scatter_runs` builds the same layouts block by block: a long input
+is grouped one bounded block at a time, and each group's run is written at
+the group's running offset in the preallocated output, so the scratch stays
+proportional to one block instead of to the whole input.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from typing import Any
 import numpy as np
 from numpy.typing import NDArray
 
-__all__ = ["group_sort"]
+__all__ = ["group_sort", "scatter_runs"]
 
 _KEY_MAX = int(np.iinfo(np.int64).max)
 
@@ -49,3 +54,32 @@ def group_sort(
     keys.sort()
     np.remainder(keys, bound, out=keys)
     return keys
+
+
+def scatter_runs(
+    out: NDArray[Any], cursor: NDArray[np.int64], groups: NDArray[np.integer[Any]],
+    values: NDArray[Any],
+) -> None:
+    """Write each run of ``values`` at its group's cursor and advance it.
+
+    ``groups`` is sorted, and ``values[i]`` belongs to group ``groups[i]``.
+    The run of group ``g`` lands at ``out[cursor[g] : cursor[g] + len(run)]``
+    in the given order, and ``cursor[g]`` moves past it.  Start from
+    ``cursor = ptr[:-1]`` of the final CSR layout and feed the blocks of a
+    long input in input order, each block stably grouped: every group's
+    entries then end up in input order, where one stable sort of the whole
+    input would place them.
+    """
+    size = groups.size
+    if size == 0:
+        return
+    heads = np.flatnonzero(groups[1:] != groups[:-1])
+    heads += 1
+    heads = np.concatenate((np.zeros(1, dtype=heads.dtype), heads))
+    lengths = np.diff(heads, append=size)
+    run_groups = groups[heads]
+    # Entry j of a run starting at heads[r] goes to cursor[group] + j - heads[r].
+    dest = np.repeat(cursor[run_groups] - heads, lengths)
+    dest += np.arange(size, dtype=np.int64)
+    out[dest] = values
+    cursor[run_groups] += lengths

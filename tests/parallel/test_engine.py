@@ -15,8 +15,10 @@ from repro.parallel import (
     resolve_jobs,
     shard_sizes,
 )
-from repro.rrset import make_rr_sampler
-from repro.utils.rng import RandomSource
+from repro.parallel.worker import run_shard_with
+from repro.rrset import FlatRRCollection, make_rr_sampler
+from repro.utils.memory import track_peak
+from repro.utils.rng import RandomSource, spawn_seed_streams
 
 
 @pytest.fixture(scope="module")
@@ -317,3 +319,50 @@ class TestWorkerSpec:
         arrays = traced_arrays if traced else collection_arrays
         for left, right in zip(arrays(first), arrays(second)):
             assert np.array_equal(left, right)
+
+
+class TestMerge:
+    """``_merge`` concatenates shards once, in shard order, byte for byte."""
+
+    @staticmethod
+    def shards(graph, traced, sizes=(1500, 1024, 3, 2048, 700)):
+        base = make_rr_sampler(graph, "IC", trace_edges=traced)
+        tasks = [("random", seed, size) for seed, size in zip(spawn_seed_streams(5, len(sizes)),
+                                                              sizes)]
+        return ParallelSampler(base, jobs=1), [run_shard_with(base, task) for task in tasks]
+
+    @pytest.mark.parametrize("traced", [False, True], ids=["plain", "traced"])
+    def test_matches_concatenating_the_shards(self, wc_graph, traced):
+        sampler, shards = self.shards(wc_graph, traced)
+
+        def joined(field, offsets_of=None):
+            parts = [shard[field] for shard in shards]
+            if offsets_of is None:
+                return np.concatenate(parts)
+            # Local offsets: shift each shard by the payload before it.
+            starts = np.cumsum([0] + [shard[offsets_of].size for shard in shards])
+            return np.concatenate([[0]] + [part[1:] + start
+                                           for part, start in zip(parts, starts)])
+
+        want = [joined(0, offsets_of=1), joined(1), joined(2), joined(3), joined(4)]
+        if traced:
+            want += [joined(5, offsets_of=6), joined(6)]
+        merged = sampler._merge(list(shards))
+        got = traced_arrays(merged) if traced else collection_arrays(merged)
+        for got_array, want_array in zip(got, want):
+            assert got_array.dtype == want_array.dtype
+            assert got_array.tobytes() == want_array.tobytes()
+        assert merged.total_cost == int(want[4].sum())
+
+    def test_releases_each_shard_once_copied(self, wc_graph):
+        sampler, shards = self.shards(wc_graph, False)
+        sampler._merge(shards)
+        assert shards == [None] * 5
+
+    def test_peak_is_one_output(self, wc_graph):
+        # Shards copied into one allocation per array; appending them one by
+        # one grew every array by doubling and peaked at 2-3x the output.
+        sampler, shards = self.shards(wc_graph, True, sizes=(2048,) * 12)
+        with track_peak() as tracker:
+            merged = sampler._merge(shards)
+        assert tracker.peak_bytes <= 1.1 * merged.nbytes()

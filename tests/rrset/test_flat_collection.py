@@ -246,3 +246,91 @@ class TestBytesAccounting:
         small = FlatRRCollection.from_rrsets(40, 77, random_rrsets(12, count=10))
         big = FlatRRCollection.from_rrsets(40, 77, random_rrsets(12, count=200))
         assert big.nbytes() > small.nbytes()
+
+
+class TestEstimatorIdRange:
+    """The estimators check node ids as SketchIndex does, instead of reading
+    node 4 for id -1 or raising numpy's IndexError for id 5."""
+
+    @pytest.fixture
+    def five_nodes(self):
+        return FlatRRCollection.from_rrsets(5, 10, [
+            RRSet(root=4, nodes=(4, 1), width=2, cost=4),
+            RRSet(root=0, nodes=(0,), width=1, cost=2),
+        ])
+
+    @pytest.mark.parametrize("bad", [-1, 5, 99])
+    @pytest.mark.parametrize("estimator", ["coverage_count", "coverage_fraction",
+                                           "estimate_spread"])
+    def test_out_of_range_ids_raise(self, five_nodes, estimator, bad):
+        with pytest.raises(ValueError, match="out of range"):
+            getattr(five_nodes, estimator)([0, bad])
+
+    def test_empty_collection_checks_ids_too(self):
+        with pytest.raises(ValueError, match="out of range"):
+            FlatRRCollection(5, 10).coverage_count([-1])
+
+    def test_both_ends_are_in_range(self, five_nodes):
+        assert five_nodes.coverage_count([4]) == 1
+        assert five_nodes.coverage_count([0]) == 1
+        assert five_nodes.estimate_spread([0, 4]) == 5.0
+        assert five_nodes.coverage_count([]) == 0
+
+    def test_empty_sets_own_no_hits(self):
+        # Hits map to their owning set through ptr, so a set with no
+        # members in between never takes one.
+        flat = FlatRRCollection.from_arrays(
+            5, 10, ptr=np.array([0, 2, 2, 3, 3]), nodes=np.array([1, 2, 3], dtype=np.int32),
+            roots=np.array([1, 0, 3, 4], dtype=np.int32), widths=np.zeros(4, dtype=np.int64),
+            costs=np.zeros(4, dtype=np.int64))
+        assert flat.coverage_count([3]) == 1
+        assert flat.coverage_count([1, 2]) == 1
+        assert flat.coverage_count([2, 3]) == 2
+
+
+class TestAdoption:
+    """An empty collection adopts a bulk batch, and neither side ever writes
+    into storage the other still reads."""
+
+    def test_empty_collection_takes_the_batch_uncopied(self):
+        batch = FlatRRCollection.from_rrsets(40, 77, random_rrsets(5, count=30))
+        merged = FlatRRCollection(40, 77)
+        merged.extend_flat(batch)
+        assert np.shares_memory(merged.nodes_array, batch.nodes_array)
+        assert merged.sets == batch.sets
+        assert merged.total_cost == batch.total_cost
+
+    def test_a_non_empty_collection_copies(self):
+        merged = FlatRRCollection.from_rrsets(40, 77, random_rrsets(6, count=3))
+        batch = FlatRRCollection.from_rrsets(40, 77, random_rrsets(5, count=30))
+        merged.extend_flat(batch)
+        assert not np.shares_memory(merged.nodes_array, batch.nodes_array)
+
+    def test_appends_after_adoption_leave_the_source_alone(self):
+        batch = FlatRRCollection.from_rrsets(40, 77, random_rrsets(5, count=30))
+        before = batch.sets
+        merged = FlatRRCollection(40, 77)
+        merged.extend_flat(batch)
+        extra = RRSet(root=7, nodes=(7, 8, 9), width=3, cost=6)
+        merged.truncate(4)
+        merged.append(extra)
+        assert batch.sets == before
+        assert merged.sets == before[:4] + [(7, 8, 9)]
+
+    def test_source_appends_after_adoption_leave_the_adopter_alone(self):
+        batch = FlatRRCollection.from_rrsets(40, 77, random_rrsets(5, count=30))
+        before = batch.sets
+        merged = FlatRRCollection(40, 77)
+        merged.extend_flat(batch)
+        batch.truncate(2)
+        batch.append(RRSet(root=7, nodes=(7, 8, 9), width=3, cost=6))
+        assert merged.sets == before
+
+    def test_truncated_memmap_sketch_can_grow(self, tmp_path):
+        flat = FlatRRCollection.from_rrsets(40, 77, random_rrsets(8, count=20))
+        path = tmp_path / "sketch.npz"
+        flat.save(path)
+        loaded, _ = FlatRRCollection.load(path, mmap=True)
+        loaded.truncate(5)
+        loaded.append(RRSet(root=1, nodes=(1, 2), width=1, cost=3))
+        assert loaded.sets == flat.sets[:5] + [(1, 2)]

@@ -161,6 +161,37 @@ class TestWarmExtension:
         fresh = greedy_max_coverage(index.collection, wc_graph.n, 5)
         assert index.select(5).seeds == fresh.seeds
 
+    def test_ensure_theta_samples_without_stale_postings(self, index):
+        # The postings and greedy state of the old sets are dropped before
+        # the batch is drawn, not held beside it until extend_flat.
+        index.select(5)
+        assert index._inv_sets is not None
+        sampler = index.sampler()
+        seen = []
+
+        class Spy:
+            def sample_random_batch(self, count, rng):
+                seen.append((index._inv_ptr, index._inv_sets, index._kernel))
+                return sampler.sample_random_batch(count, rng)
+
+        index._sampler = Spy()
+        assert index.ensure_theta(index.num_sets + 50, rng=4) == 50
+        assert seen == [(None, None, None)]
+
+    def test_first_batch_is_adopted_uncopied(self, wc_graph):
+        index = SketchIndex(graph=wc_graph, model="IC")
+        batches = []
+        sampler = index.sampler()
+
+        class Keep:
+            def sample_random_batch(self, count, rng):
+                batches.append(sampler.sample_random_batch(count, rng))
+                return batches[-1]
+
+        index._sampler = Keep()
+        index.ensure_theta(400, rng=5)
+        assert np.shares_memory(index.collection.nodes_array, batches[0].nodes_array)
+
     def test_grown_sketch_persists(self, index, wc_graph, tmp_path):
         index.ensure_theta(index.num_sets + 100, rng=3)
         path = tmp_path / "grown.npz"
