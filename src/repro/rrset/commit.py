@@ -53,9 +53,11 @@ def commit_batch(
     the members ``member_nodes[i]``; the traces pair up the same way.  The
     lists are consumed: each piece leaves its list once it is grouped.
     ``widths`` defaults to Σ in-degree over each set's members, w(R) of
-    Equation 1.  A set's cost is its size plus its width (an IC set
-    examines w(R) coins), or twice its size with ``walk`` (an LT walk draws
-    once per member, the last draw being the one that stops it).
+    Equation 1.  A set's cost is its size plus its width, the in-edges its
+    reverse BFS examines as the paper prices it (the IC sampler draws one
+    random number per success plus one for a node whose in-edges share one
+    probability, not one per edge), or twice its size with ``walk`` (an LT
+    walk draws once per member, the last draw being the one that stops it).
     """
     batch = int(roots.size)
     sizes = np.zeros(batch, dtype=np.int64)

@@ -93,13 +93,34 @@ def _gather_members(ptr: np.ndarray, nodes: np.ndarray, set_ids: np.ndarray) -> 
     return nodes[np.repeat(ptr[set_ids], counts) + offsets]
 
 
-def _decrement(counts: np.ndarray, members: np.ndarray) -> None:
-    """``counts[v] -= multiplicity of v in members`` without a Python loop."""
-    # bincount beats subtract.at once the member batch is non-trivial.
-    if members.size > 64:
-        counts -= np.bincount(members, minlength=counts.size)
-    else:
-        np.subtract.at(counts, members, 1)
+#: Most members one step of a greedy pick's decrement gathers.  A step's
+#: scratch (int64 positions and offsets, the gathered ids) is about 24 bytes
+#: an entry, 6 MiB at this size.
+GREEDY_GATHER_ENTRIES = 1 << 18
+
+
+def _decrement(counts: np.ndarray, ptr: np.ndarray, nodes: np.ndarray,
+               set_ids: np.ndarray) -> None:
+    """``counts[v] -=`` the number of ``set_ids`` sets containing ``v``.
+
+    Members are gathered in steps of consecutive sets holding at most
+    :data:`GREEDY_GATHER_ENTRIES` of them (or one larger set), so the
+    scratch stays bounded however many sets a pick covers; the decrement is
+    additive, so the counts are those of one gather of every member.
+    """
+    ends = np.cumsum(ptr[set_ids + 1] - ptr[set_ids])
+    lo = 0
+    while lo < set_ids.size:
+        done = int(ends[lo - 1]) if lo else 0
+        hi = int(np.searchsorted(ends, done + GREEDY_GATHER_ENTRIES, side="right"))
+        hi = max(hi, lo + 1)
+        members = _gather_members(ptr, nodes, set_ids[lo:hi])
+        # bincount beats subtract.at once the member batch is non-trivial.
+        if members.size > 64:
+            counts -= np.bincount(members, minlength=counts.size)
+        else:
+            np.subtract.at(counts, members, 1)
+        lo = hi
 
 
 #: Most entries one chunk of the postings build holds.  A chunk's scratch
@@ -267,7 +288,7 @@ class _GreedyKernel:
         new_sets = candidate_sets[~self.covered[candidate_sets]]
         if new_sets.size:
             self.covered[new_sets] = True
-            _decrement(self.counts, _gather_members(self.ptr, self.nodes, new_sets))
+            _decrement(self.counts, self.ptr, self.nodes, new_sets)
         self.counts[node] = -1
 
     def extend_to(self, k: int) -> None:

@@ -6,22 +6,29 @@ of a dequeued node flip a coin with the edge's probability and enqueue the
 
 :meth:`ICRRSampler.sample_batch` grows many RR sets *simultaneously* as one
 level-synchronous reverse BFS over ``(sample, node)`` pairs.  Each wave
-gathers the in-edges of the whole frontier straight from
-``DiGraph.in_ptr``/``in_idx``/``in_prob`` with a CSR range-gather, decides
-every coin in one ``rng.np.random(len(slice))`` call, and deduplicates newly
-reached pairs against a per-chunk visited matrix.  Frontier nodes whose
-in-edges share one probability (the weighted-cascade common case) are
-additionally eligible for *geometric-skip* sampling: gaps between Bernoulli
-successes are Geometric(p), so for a run of ``T`` edges at probability ``p``
-only ``≈ T·p`` geometric draws are needed instead of ``T`` uniforms — same
-distribution, far fewer random numbers.  The whole batch is returned as a
+expands the whole frontier at once, straight from ``DiGraph.in_ptr`` /
+``in_idx`` / ``in_prob``, in one of two ways per node:
+
+* a node whose in-edges share one probability ``p`` (every node of a
+  weighted-cascade graph) skips from success to success: the gaps between
+  successful coins are Geometric(p), so each vectorised round draws one gap
+  per live node until it passes its in-degree ``d``, about ``1 + d·p``
+  draws instead of ``d``.  A node still live after
+  :attr:`ICRRSampler.GAP_ROUNDS` rounds flips the rest of its slice;
+* a node whose in-probabilities differ flips every coin, the whole wave's
+  in one ``rng.np.random(len)`` call over a CSR range-gather.
+
+Both draw the coins' distribution, so a set's w(R) (Equation 1) and cost
+are what per-edge flipping gives; only the number of random draws falls.
+Newly reached pairs are deduplicated against a visited matrix with one row
+per in-flight sample, and each row carries a uint8 generation stamp: a
+finished row is recycled by advancing its stamp and wiped only when the
+stamp wraps around.  The whole batch is returned as a
 :class:`~repro.rrset.flat_collection.FlatRRCollection`, so no per-set
 Python objects are created on the hot path.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -36,37 +43,18 @@ from repro.utils.rng import RandomSource, resolve_rng
 __all__ = ["ICRRSampler"]
 
 
-def _geometric_positions(npgen, p: float, total: int) -> np.ndarray:
-    """Positions of successes in ``total`` iid Bernoulli(p) trials.
+def _retire_rows(visited: np.ndarray, stamps: np.ndarray, rows: np.ndarray) -> None:
+    """Forget every mark in ``rows`` of ``visited`` by advancing their stamps.
 
-    Exact skip sampling: gaps between successive successes (and before the
-    first) are iid Geometric(p), so drawing gaps and cumulative-summing them
-    visits only the ≈ ``total·p`` successes instead of all ``total`` trials.
-    Draws in slabs sized to overshoot the end with high probability; loops
-    when a slab falls short.
+    A cell is marked in its row when it holds the row's current stamp
+    (1..255), so one increment clears the whole row.  Only a row whose
+    stamp wraps to 0 is wiped, once per 255 uses, and starts again at 1.
     """
-    if total <= 0 or p <= 0.0:
-        return np.empty(0, dtype=np.int64)
-    if p >= 1.0:
-        return np.arange(total, dtype=np.int64)
-    chunks: list[np.ndarray] = []
-    last = -1  # position of the most recent success
-    while True:
-        remaining = total - (last + 1)
-        if remaining <= 0:
-            break
-        expected = remaining * p
-        slab = int(expected + 6.0 * math.sqrt(expected + 1.0) + 16.0)
-        gaps = npgen.geometric(p, size=slab)
-        positions = last + np.cumsum(gaps)
-        cut = int(np.searchsorted(positions, total))
-        chunks.append(positions[:cut])
-        if cut < positions.size:
-            break  # the slab crossed the end of the trial run: done
-        last = int(positions[-1])
-    if not chunks:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(chunks)
+    stamps[rows] += 1
+    wrapped = rows[stamps[rows] == 0]
+    if wrapped.size:
+        visited[wrapped] = 0
+        stamps[wrapped] = 1
 
 
 class ICRRSampler(RRSampler):
@@ -74,18 +62,18 @@ class ICRRSampler(RRSampler):
 
     model_name = "IC"
 
-    #: Minimum concatenated edge count of a same-probability frontier group
-    #: before geometric-skip sampling replaces per-edge uniform draws.  One
-    #: batched uniform draw costs ~1 ns/edge, so the grouping argsort plus
-    #: per-group python overhead only pays off for long same-p runs
-    #: (high-degree hubs or very homogeneous frontiers).
-    GEOMETRIC_SKIP_MIN_EDGES = 4096
+    #: Geometric-gap rounds a node with one shared in-probability gets per
+    #: wave; a node still live after them flips the rest of its slice.  A
+    #: weighted-cascade node has about one success (Poisson(1)), so about 2%
+    #: of them fall through, and a constant-p hub with hundreds of successes
+    #: does not take one round per success.
+    GAP_ROUNDS = 4
 
-    #: Upper bounds on the visited-bitmap row pool: at most this many
-    #: boolean cells (rows · n, i.e. at most 16 MiB of scratch) and at most
-    #: this many concurrent samples.  Measured sweet spot: much smaller and
-    #: the waves lose their numpy amortisation, much bigger and the
-    #: scattered bitmap accesses fall out of last-level cache.
+    #: Upper bounds on the visited-row pool: at most this many one-byte
+    #: cells (rows · n, i.e. at most 16 MiB of scratch) and at most this
+    #: many concurrent samples.  Measured sweet spot: much smaller and the
+    #: waves lose their numpy amortisation, much bigger and the scattered
+    #: row accesses fall out of last-level cache.
     BATCH_CHUNK_CELLS = 16 << 20
     BATCH_CHUNK_MAX = 8192
 
@@ -118,14 +106,17 @@ class ICRRSampler(RRSampler):
         #: so pool workers sampling over a shared graph stay at the one-copy
         #: memory footprint).
         self._np_unif_p = self._uniform_in_probs()
-        finite = self._np_unif_p[np.isfinite(self._np_unif_p)]
-        #: Few distinct uniform probabilities (e.g. a constant-p graph) ⇒
-        #: frontier groups are large and geometric skip pays; many distinct
-        #: values (weighted cascade on a degree-diverse graph) ⇒ groups are
-        #: shards and only high-degree hubs are worth it.
-        self._distinct_uniform_probs = int(np.unique(finite).size)
         self._np_in_deg = graph.in_degrees()
-        self._max_in_degree = int(self._np_in_deg.max()) if self._np_in_deg.size else 0
+        #: Per node, how a wave expands it: ``c = -1/ln(1-p)`` for a shared
+        #: in-probability p in (0, 1], so that ``⌊E·c⌋`` with E ~ Exp(1) is a
+        #: Geometric(p) gap (``P(⌊E·c⌋ >= j) = (1-p)^j``; c = 0 at p = 1);
+        #: NaN when the in-probabilities differ (coin by coin); +inf when no
+        #: coin can succeed (in-degree 0 or p = 0).
+        scale = np.where(np.isnan(self._np_unif_p) & (self._np_in_deg > 0), np.nan, np.inf)
+        gaps = self._np_unif_p > 0
+        with np.errstate(divide="ignore", over="ignore"):
+            scale[gaps] = -1.0 / np.log1p(-self._np_unif_p[gaps])
+        self._np_gap_scale = scale
 
     def _uniform_in_probs(self) -> np.ndarray:
         """Per-node shared in-probability (NaN when mixed or in-degree 0)."""
@@ -150,12 +141,15 @@ class ICRRSampler(RRSampler):
         internal drivers share the wave-expansion core:
 
         * unbounded sampling uses a *streaming* reverse BFS: a pool of
-          visited-bitmap rows grows many RR sets concurrently and admits the
-          next root the moment a row frees up, so the frontier stays wide
-          and numpy call overhead is amortised across the whole batch;
+          visited rows grows many RR sets concurrently and admits the next
+          root the moment a row frees up, so the frontier stays wide and
+          numpy call overhead is amortised across the whole batch;
         * ``max_depth`` sampling processes fixed chunks level-synchronously
           (every wave is one BFS depth), so each member's depth is its live
           distance and truncation is exact.
+
+        Both mark a visited node with its row's stamp and recycle a row by
+        advancing the stamp (:func:`_retire_rows`).
         """
         source = resolve_rng(rng)
         roots = np.ascontiguousarray(roots, dtype=np.int64)
@@ -165,13 +159,15 @@ class ICRRSampler(RRSampler):
             return out
         rows = max(1, min(self.BATCH_CHUNK_MAX, self.BATCH_CHUNK_CELLS // max(n, 1)))
         rows = min(rows, int(roots.size))
-        visited = np.zeros((rows, n), dtype=bool)
+        visited = np.zeros((rows, n), dtype=np.uint8)
+        stamps = np.ones(rows, dtype=np.uint8)
         with obs.trace("sampling.ic_batch", sets=int(roots.size)):
             if self.max_depth is None:
-                self._sample_stream(roots, source, out, visited)
+                self._sample_stream(roots, source, out, visited, stamps)
             else:
                 for start in range(0, roots.size, rows):
-                    self._expand_chunk(roots[start : start + rows], source, out, visited)
+                    self._expand_chunk(roots[start : start + rows], source, out,
+                                       visited, stamps)
         if obs.enabled():
             obs.add("rr.sets", int(roots.size))
             obs.add("rr.cost", int(out.costs_array.sum()))
@@ -184,11 +180,12 @@ class ICRRSampler(RRSampler):
         source: RandomSource,
         out: FlatRRCollection,
         visited: np.ndarray,
+        stamps: np.ndarray,
     ) -> None:
         """Streaming driver: grow all RR sets through one shared frontier.
 
-        Each in-flight sample owns one row of ``visited``; finished rows are
-        wiped (one contiguous memset) and recycled to admit the next root,
+        Each in-flight sample owns one row of ``visited``; a finished row is
+        retired by advancing its stamp and recycled to admit the next root,
         so the wave width stays near the pool size instead of decaying into
         long tails of tiny frontiers.  The per-wave member lists hold int32
         sample and node ids until the commit.
@@ -220,7 +217,7 @@ class ICRRSampler(RRSampler):
                 next_root += take
                 sample_of_row[new_r] = new_s
                 row_live[new_r] = True
-                visited[new_r, new_v] = True
+                visited[new_r, new_v] = stamps[new_r]
                 member_samples.append(new_s)
                 member_nodes.append(new_v.astype(np.int32))
                 active_s = np.concatenate([active_s, new_s])
@@ -230,7 +227,7 @@ class ICRRSampler(RRSampler):
                 break
             if active_v.size <= self.TAIL_CUTOVER_PAIRS and next_root >= total:
                 self._finish_tail(
-                    active_s, active_r, active_v, 0, visited, None, source,
+                    active_s, active_r, active_v, 0, visited, stamps, None, source,
                     member_samples, member_nodes, trace_samples, trace_edge_ids,
                 )
                 break
@@ -245,9 +242,10 @@ class ICRRSampler(RRSampler):
             if hit_pos.size:
                 # One flat (row·n + node) key drives everything: the visited
                 # lookup, the within-wave dedup (in-place sort + adjacent
-                # diff beats a hash-based unique here), and the bitmap write.
-                key = active_r[hit_pos] * id_dtype(n) + hit_v.astype(id_dtype, copy=False)
-                key = key[~visited_flat[key]]
+                # diff beats a hash-based unique here), and the row write.
+                hit_r = active_r[hit_pos]
+                key = hit_r * id_dtype(n) + hit_v.astype(id_dtype, copy=False)
+                key = key[visited_flat[key] != stamps[hit_r]]
             if key.size:
                 key.sort()
                 if key.size > 1:
@@ -255,8 +253,8 @@ class ICRRSampler(RRSampler):
                     keep[0] = True
                     np.not_equal(key[1:], key[:-1], out=keep[1:])
                     key = key[keep]
-                visited_flat[key] = True
                 cand_r = key // id_dtype(n)
+                visited_flat[key] = stamps[cand_r]
                 cand_node = key % id_dtype(n)
                 cand_v = cand_node.astype(np.int64, copy=False)
                 cand_s = sample_of_row[cand_r]
@@ -266,13 +264,13 @@ class ICRRSampler(RRSampler):
                 cand_s = np.empty(0, dtype=np.int32)
                 cand_v = np.empty(0, dtype=np.int64)
                 cand_r = np.empty(0, dtype=id_dtype)
-            # Rows whose frontier died this wave are wiped and recycled.
-            # Bitmap bookkeeping is O(rows + frontier), no sorting.
+            # Rows whose frontier died this wave are retired and recycled.
+            # Row bookkeeping is O(rows + frontier), no sorting.
             still_live = np.zeros(num_rows, dtype=bool)
             still_live[cand_r] = True
             finished = np.flatnonzero(row_live & ~still_live)
             if finished.size:
-                visited[finished] = False
+                _retire_rows(visited, stamps, finished)
                 free_rows.extend(finished.tolist())
             row_live = still_live
             active_s, active_v, active_r = cand_s, cand_v, cand_r
@@ -286,21 +284,22 @@ class ICRRSampler(RRSampler):
         source: RandomSource,
         out: FlatRRCollection,
         visited: np.ndarray,
+        stamps: np.ndarray,
     ) -> None:
         """Level-synchronous driver for ``max_depth``-truncated sampling.
 
         Wave ``d`` expands exactly the nodes at live distance ``d``, so a
         member's recorded depth is its true live distance and truncation is
-        exact.
-        ``visited`` is an all-False scratch matrix with at least
-        ``len(chunk_roots)`` rows; touched cells are cleared before return.
+        exact.  Sample ``i`` of the chunk owns row ``i`` of ``visited``
+        (which has at least ``len(chunk_roots)`` rows); the rows are retired
+        before return.
         """
         n = self.graph.n
         in_deg = self._np_in_deg
         batch = chunk_roots.size
         id_dtype = np.int32 if batch * n < 2**31 else np.int64
         sample_ids = np.arange(batch, dtype=np.int64)
-        visited[sample_ids, chunk_roots] = True
+        visited[sample_ids, chunk_roots] = stamps[sample_ids]
         member_samples = [sample_ids]
         member_nodes = [chunk_roots]
         trace_samples: list[np.ndarray] | None = [] if self.trace_edges else None
@@ -316,7 +315,7 @@ class ICRRSampler(RRSampler):
                 break
             if active_v.size <= self.TAIL_CUTOVER_PAIRS:
                 self._finish_tail(
-                    active_s, active_s, active_v, depth, visited, widths, source,
+                    active_s, active_s, active_v, depth, visited, stamps, widths, source,
                     member_samples, member_nodes, trace_samples, trace_edge_ids,
                 )
                 break
@@ -331,7 +330,7 @@ class ICRRSampler(RRSampler):
                 trace_samples.append(active_s[hit_pos])
                 trace_edge_ids.append(hit_e)
             hit_s = active_s[hit_pos]
-            fresh = ~visited[hit_s, hit_v]
+            fresh = visited[hit_s, hit_v] != stamps[hit_s]
             hit_s, hit_v = hit_s[fresh], hit_v[fresh]
             if hit_s.size == 0:
                 break
@@ -341,16 +340,15 @@ class ICRRSampler(RRSampler):
             )
             cand_s = (key // id_dtype(n)).astype(np.int64, copy=False)
             cand_v = (key % id_dtype(n)).astype(np.int64, copy=False)
-            visited[cand_s, cand_v] = True
+            visited[cand_s, cand_v] = stamps[cand_s]
             member_samples.append(cand_s)
             member_nodes.append(cand_v)
             active_s, active_v = cand_s, cand_v
             depth += 1
 
-        all_s = np.concatenate(member_samples)
-        all_v = np.concatenate(member_nodes)
-        visited[all_s, all_v] = False  # reset scratch for the next chunk
-        self._commit(chunk_roots, [all_s], [all_v], widths, out,
+        _retire_rows(visited, stamps, sample_ids)
+        self._commit(chunk_roots, [np.concatenate(member_samples)],
+                     [np.concatenate(member_nodes)], widths, out,
                      trace_samples, trace_edge_ids)
 
     def _commit(
@@ -381,6 +379,7 @@ class ICRRSampler(RRSampler):
         active_v: np.ndarray,
         depth: int,
         visited: np.ndarray,
+        stamps: np.ndarray,
         widths: np.ndarray | None,
         source: RandomSource,
         member_samples: list[np.ndarray],
@@ -402,7 +401,8 @@ class ICRRSampler(RRSampler):
         via a long live path would be marked visited and lose the expansion
         budget its shortest live path grants.
         ``widths`` is only accumulated for the bounded driver; the streaming
-        driver derives widths from the final membership instead.
+        driver derives widths from the final membership instead.  A node is
+        visited when its cell holds its row's stamp, as in the waves.
         """
         from collections import deque
 
@@ -431,14 +431,15 @@ class ICRRSampler(RRSampler):
             if widths is not None:
                 widths[sample] += len(neighbors)
             row = visited[row_id]
+            mark = stamps[row_id]
             for index in range(len(neighbors)):
                 if random01() < probs[index]:
                     if tracing:
                         extra_ts.append(sample)
                         extra_te.append(lo + index)
                     source_node = neighbors[index]
-                    if not row[source_node]:
-                        row[source_node] = True
+                    if row[source_node] != mark:
+                        row[source_node] = mark
                         extra_s.append(sample)
                         extra_v.append(source_node)
                         queue.append((sample, row_id, source_node, level + 1))
@@ -452,58 +453,32 @@ class ICRRSampler(RRSampler):
     def _expand_wave(
         self, active_v: np.ndarray, source: RandomSource
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """One frontier wave: flip every in-edge coin of ``active_v`` at once.
+        """One frontier wave: every in-edge coin of ``active_v`` at once.
 
         Returns ``(positions, source_nodes, edge_ids)`` of the successful
-        flips — ``positions`` index into ``active_v`` so callers can recover
+        coins — ``positions`` index into ``active_v`` so callers can recover
         the owning sample/row — undeduplicated.  ``edge_ids`` are the
         successful coins' in-CSR positions when ``trace_edges`` is on
         (``None`` otherwise; both sub-paths already compute them, so tracing
-        costs one extra gather and no extra randomness).  Uniform-probability
-        frontier groups with enough edges go through geometric-skip sampling;
-        the rest use one batched uniform draw over the concatenated CSR edge
-        slices.
+        costs one extra gather and no extra randomness).  Nodes with one
+        shared in-probability skip between successes
+        (:meth:`_expand_gaps`); the rest flip every coin
+        (:meth:`_expand_per_edge`); nodes none of whose coins can succeed
+        draw nothing.
         """
-        deg = self._np_in_deg[active_v]
-        positions = np.flatnonzero(deg > 0)
-        if positions.size == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty, (empty if self.trace_edges else None)
-        if positions.size < active_v.size:
-            active_v, deg = active_v[positions], deg[positions]
-
-        skip_mask = np.zeros(active_v.size, dtype=bool)
-        # Grouping by probability costs an argsort per wave; only attempt it
-        # when the wave is big enough AND same-p runs can plausibly clear the
-        # per-group threshold: either the graph has few distinct uniform
-        # probabilities (groups span most of the wave) or it has genuine
-        # high-degree hubs (a single node is a long run by itself).
-        if (
-            int(deg.sum()) >= self.GEOMETRIC_SKIP_MIN_EDGES
-            and (
-                self._distinct_uniform_probs <= 8
-                or self._max_in_degree >= self.GEOMETRIC_SKIP_MIN_EDGES // 4
-            )
-        ):
-            skip_mask = np.isfinite(self._np_unif_p[active_v])
+        scale = self._np_gap_scale[active_v]
         out_pos: list[np.ndarray] = []
         out_v: list[np.ndarray] = []
         out_e: list[np.ndarray] | None = [] if self.trace_edges else None
-        if skip_mask.any():
-            chosen = np.flatnonzero(skip_mask)
-            demoted = self._expand_uniform_groups(
-                positions[chosen], active_v[chosen], deg[chosen], source,
-                out_pos, out_v, out_e,
-            )
-            if demoted is not None:
-                # Groups too small for skip sampling rejoin the flip path.
-                skip_mask[chosen[demoted]] = False
-        flip_mask = ~skip_mask
-        if flip_mask.any():
-            self._expand_per_edge(
-                positions[flip_mask], active_v[flip_mask], deg[flip_mask],
-                source, out_pos, out_v, out_e,
-            )
+        skip = np.flatnonzero(scale < np.inf)
+        if skip.size:
+            self._expand_gaps(skip, active_v[skip], scale[skip], source,
+                              out_pos, out_v, out_e)
+        flip = np.flatnonzero(np.isnan(scale))
+        if flip.size:
+            frontier = active_v[flip]
+            self._expand_per_edge(flip, self.graph.in_ptr[frontier],
+                                  self._np_in_deg[frontier], source, out_pos, out_v, out_e)
         if not out_pos:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty, (empty if self.trace_edges else None)
@@ -513,21 +488,61 @@ class ICRRSampler(RRSampler):
             np.concatenate(out_e) if out_e is not None else None,
         )
 
-    def _expand_per_edge(self, positions, frontier_v, deg, source, out_pos, out_v,
-                         out_e=None) -> None:
-        """Batched per-edge coin flips over the frontier's CSR edge slices."""
+    def _expand_gaps(self, positions, frontier_v, scale, source, out_pos, out_v,
+                     out_e=None) -> None:
+        """Geometric-gap expansion of nodes whose in-edges share one p.
+
+        The successes among a node's ``d`` iid Bernoulli(p) coins sit at the
+        running sums of iid Geometric(p) gaps that stay below ``d``.  Each
+        round draws one gap per live node (``⌊E·c⌋``, see ``_np_gap_scale``),
+        records the coin it lands on as a success, edge ``in_ptr[v] +
+        position``, and drops the nodes it carries past their slice.  Nodes
+        still live after :attr:`GAP_ROUNDS` rounds flip the coins after their
+        last success one by one.
+        """
         graph = self.graph
-        total = int(deg.sum())
-        if total == 0:
-            return
-        ends = np.cumsum(deg)
+        start = graph.in_ptr[frontier_v]
+        deg = self._np_in_deg[frontier_v]
+        at = np.full(frontier_v.size, -1.0)  # position of the last success
+        for _ in range(self.GAP_ROUNDS):
+            gap = source.np.standard_exponential(at.size)
+            gap *= scale
+            np.floor(gap, out=gap)
+            at += gap
+            at += 1.0
+            live = np.flatnonzero(at < deg)
+            if live.size == 0:
+                return
+            if live.size < at.size:
+                positions, start, deg = positions[live], start[live], deg[live]
+                scale, at = scale[live], at[live]
+            edges = start + at.astype(np.int64)
+            out_pos.append(positions)
+            out_v.append(graph.in_idx[edges])
+            if out_e is not None:
+                out_e.append(edges)
+        first = start + at.astype(np.int64) + 1
+        rest = start + deg - first
+        more = np.flatnonzero(rest > 0)
+        if more.size:
+            self._expand_per_edge(positions[more], first[more], rest[more], source,
+                                  out_pos, out_v, out_e)
+
+    def _expand_per_edge(self, positions, starts, lengths, source, out_pos, out_v,
+                         out_e=None) -> None:
+        """Batched coin flips over the in-CSR slices ``[starts, starts + lengths)``.
+
+        Every length must be positive.
+        """
+        graph = self.graph
+        ends = np.cumsum(lengths)
+        total = int(ends[-1])
         # Concatenated CSR ranges via the diff/cumsum trick: step 1 within a
-        # node's slice, jump to the next node's start at each boundary.
-        starts = graph.in_ptr[frontier_v]
+        # slice, jump to the next slice's start at each boundary.
         edge_idx = np.ones(total, dtype=np.int64)
         edge_idx[0] = starts[0]
         if ends.size > 1:
-            edge_idx[ends[:-1]] = starts[1:] - starts[:-1] - deg[:-1] + 1
+            edge_idx[ends[:-1]] = starts[1:] - starts[:-1] - lengths[:-1] + 1
         np.cumsum(edge_idx, out=edge_idx)
         success_at = np.flatnonzero(source.np.random(total) < graph.in_prob[edge_idx])
         if success_at.size == 0:
@@ -538,45 +553,3 @@ class ICRRSampler(RRSampler):
         out_v.append(graph.in_idx[success_edges])
         if out_e is not None:
             out_e.append(success_edges)
-
-    def _expand_uniform_groups(
-        self, positions, frontier_v, deg, source, out_pos, out_v, out_e=None
-    ) -> np.ndarray | None:
-        """Geometric-skip expansion for uniform-probability frontier nodes.
-
-        Nodes are grouped by their shared in-probability ``p``; within a
-        group the concatenated edge stream is a run of iid Bernoulli(p)
-        trials, so success positions are recovered from Geometric(p) gaps.
-        Returns indices (into the given frontier) of nodes whose group was
-        too small to benefit, or ``None`` when every group qualified.
-        """
-        graph = self.graph
-        probs = self._np_unif_p[frontier_v]
-        order = np.argsort(probs, kind="stable")
-        probs_sorted = probs[order]
-        group_starts = np.flatnonzero(np.r_[True, np.diff(probs_sorted) != 0])
-        group_ends = np.r_[group_starts[1:], probs_sorted.size]
-        demoted: list[np.ndarray] = []
-        for lo, hi in zip(group_starts, group_ends):
-            members = order[lo:hi]
-            group_deg = deg[members]
-            total = int(group_deg.sum())
-            p = float(probs_sorted[lo])
-            if total < self.GEOMETRIC_SKIP_MIN_EDGES:
-                demoted.append(members)
-                continue
-            success_at = _geometric_positions(source.np, p, total)
-            if success_at.size == 0:
-                continue
-            cum = np.cumsum(group_deg)
-            segment = np.searchsorted(cum, success_at, side="right")
-            local = success_at - (cum[segment] - group_deg[segment])
-            nodes = frontier_v[members]
-            success_edges = graph.in_ptr[nodes][segment] + local
-            out_pos.append(positions[members][segment])
-            out_v.append(graph.in_idx[success_edges])
-            if out_e is not None:
-                out_e.append(success_edges)
-        if not demoted:
-            return None
-        return np.concatenate(demoted)

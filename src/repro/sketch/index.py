@@ -49,6 +49,7 @@ from repro.rrset.coverage import (
     _patch_postings,
 )
 from repro.rrset.flat_collection import FlatRRCollection
+from repro.utils.memory import release_free_heap
 from repro.utils.rng import resolve_rng
 from repro.utils.validation import check_k, require
 
@@ -235,6 +236,10 @@ class SketchIndex:
 
     def _ensure_postings(self) -> tuple[np.ndarray[Any, Any], np.ndarray[Any, Any]]:
         if self._inv_ptr is None or self._inv_sets is None:
+            # A build follows sampling, whose freed scratch glibc can keep
+            # resident; handing it back first keeps it out of the peak the
+            # postings set.
+            release_free_heap()
             self._inv_ptr, self._inv_sets = _inverted_index(
                 self.collection.ptr_array, self.collection.nodes_array, self.num_nodes
             )

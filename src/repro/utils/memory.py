@@ -11,7 +11,8 @@ glibc keeps freed blocks below its mmap threshold resident, and that
 threshold rises as large numpy arrays are freed, so after a solve the
 process can hold a hundred megabytes nothing reads.  A forked worker maps
 every page its parent holds, so the parallel engine releases them before it
-forks a pool.
+forks a pool; and arrays above the threshold are mapped fresh on top of
+them, so a sketch index releases them before it builds its postings.
 """
 
 from __future__ import annotations

@@ -17,12 +17,23 @@ import pytest
 
 from repro.core import estimate_kpt, node_selection, tim, tim_plus
 from repro.diffusion import ICTriggering, TriggeringModel
-from repro.graphs import gnm_random_digraph, star_digraph, uniform_random_lt, weighted_cascade
+from repro.graphs import (
+    DiGraph,
+    gnm_random_digraph,
+    star_digraph,
+    uniform_random_lt,
+    weighted_cascade,
+)
 from repro.rrset import make_rr_sampler
 from repro.rrset.ic_sampler import ICRRSampler
 from repro.rrset.lt_sampler import LTRRSampler
 from repro.utils.rng import RandomSource
-from tests.rrset.sampler_oracle import assert_same_distribution, oracle_batch
+from tests.rrset.sampler_oracle import (
+    assert_same_distribution,
+    assert_same_inclusion,
+    assert_same_means,
+    oracle_batch,
+)
 
 NUM_SAMPLES = 12_000
 
@@ -61,6 +72,60 @@ SAMPLERS = {
 }
 
 
+def _with_node_probs(base, node_p, edge_p):
+    """``base`` whose in-edges into ``v`` all get ``node_p[v]``, or keep
+    their own ``edge_p`` where ``node_p[v]`` is NaN."""
+    probs = node_p[base.dst]
+    return base.with_probabilities(np.where(np.isnan(probs), edge_p, probs))
+
+
+def _branch_case(case):
+    """A graph and roots whose waves reach one expansion branch of ``ICRRSampler``."""
+    rng = np.random.default_rng(31)
+    if case == "hub":
+        # Constant p, every set rooted at a hub of 1,100 in-edges: about 88
+        # successes, far past GAP_ROUNDS, so the rest of its slice is
+        # flipped coin by coin.
+        base = gnm_random_digraph(1200, 3600, rng=31)
+        pairs = set(zip(base.src.tolist(), base.dst.tolist()))
+        pairs |= {(v, 0) for v in range(1, 1101)} | {(0, v) for v in range(1, 401)}
+        src, dst = zip(*sorted(pairs))
+        return DiGraph(1200, src, dst, np.full(len(src), 0.08)), np.zeros(4000, int)
+    base = gnm_random_digraph(300, 1200, rng=31)
+    draw = rng.random(base.n)
+    with np.errstate(divide="ignore"):
+        wc = 1.0 / base.in_degrees()
+    if case == "p-one":
+        # Every in-edge of a tenth of the nodes is live: gaps of 0.
+        node_p = np.where(draw < 0.1, 1.0, 0.1)
+    elif case == "p-zero":
+        # A third of the nodes share p = 0, so no coin of theirs is drawn.
+        node_p = np.where(draw < 0.3, 0.0, wc)
+    else:
+        # "mixed-wave": half the nodes share 1/indeg, half mix their own.
+        node_p = np.where(draw < 0.5, wc, np.nan)
+    graph = _with_node_probs(base, node_p, rng.uniform(0.02, 0.4, size=base.m))
+    return graph, rng.integers(0, base.n, size=BRANCH_SETS)
+
+
+BRANCH_CASES = ["hub", "p-one", "p-zero", "mixed-wave"]
+BRANCH_SETS = 6000
+
+
+@pytest.fixture(scope="module")
+def branch_oracles():
+    """Per (case, max_depth): graph, roots and the oracle's sets, built once."""
+    made = {}
+
+    def get(case, max_depth):
+        if (case, max_depth) not in made:
+            graph, roots = _branch_case(case)
+            made[case, max_depth] = (graph, roots, oracle_batch(
+                graph, "IC", roots.size, seed=33, max_depth=max_depth, roots=roots))
+        return made[case, max_depth]
+    return get
+
+
 class TestSamplerEquivalence:
     def test_batch_deterministic_given_seed(self, wc_graph):
         sampler = make_rr_sampler(wc_graph, "IC")
@@ -97,22 +162,21 @@ class TestSamplerEquivalence:
             assert np.diff(batch.trace_ptr_array).mean() == pytest.approx(
                 np.diff(oracle.trace_ptr_array).mean(), rel=0.05)
 
-    def test_geometric_skip_on_off_equivalent(self, wc_graph):
-        """Skip sampling is exact: both variants draw the same distribution."""
-        on = ICRRSampler(wc_graph)
-        # Force the skip path to actually engage on modest frontiers...
-        on.GEOMETRIC_SKIP_MIN_EDGES = 1
-        off = ICRRSampler(wc_graph)
-        # ...and keep it off everywhere: no wave has this many edges.
-        off.GEOMETRIC_SKIP_MIN_EDGES = 2**62
-        batch_on = on.sample_random_batch(NUM_SAMPLES, RandomSource(11))
-        batch_off = off.sample_random_batch(NUM_SAMPLES, RandomSource(12))
-        assert batch_on.set_sizes().mean() == pytest.approx(
-            batch_off.set_sizes().mean(), rel=0.05
-        )
-        assert batch_on.widths_array.mean() == pytest.approx(
-            batch_off.widths_array.mean(), rel=0.05
-        )
+    @pytest.mark.parametrize("max_depth", [None, 2], ids=["unbounded", "depth2"])
+    @pytest.mark.parametrize("case", BRANCH_CASES)
+    def test_expansion_branch_matches_oracle(self, branch_oracles, case, max_depth):
+        """Each way a wave expands a node draws the oracle's sets: geometric
+        gaps with the per-edge fallback (a constant-p hub), p = 1 and p = 0
+        shared in-probabilities, and waves mixing gap and per-edge nodes,
+        with and without ``max_depth``.  Traced, each set records as many
+        live edges as the oracle's."""
+        graph, roots, oracle = branch_oracles(case, max_depth)
+        sampler = ICRRSampler(graph, max_depth=max_depth, trace_edges=True)
+        batch = sampler.sample_batch(roots, RandomSource(34))
+        assert_same_inclusion(batch, oracle, floor=1e-2)
+        assert_same_means(batch.set_sizes(), oracle.set_sizes())
+        assert_same_means(batch.widths_array, oracle.widths_array)
+        assert_same_means(np.diff(batch.trace_ptr_array), np.diff(oracle.trace_ptr_array))
 
     def test_mixed_probability_graph(self):
         """Non-uniform in-probabilities exercise the per-edge flip path."""

@@ -86,12 +86,15 @@ def lt_rr_set(graph, root, rng):
                  cost=2 * len(order), trace=tuple(trace))
 
 
-def oracle_batch(graph, model, count, seed, max_depth=None):
-    """``count`` random-root oracle RR sets as a traced flat collection."""
+def oracle_batch(graph, model, count, seed, max_depth=None, roots=None):
+    """``count`` oracle RR sets as a traced flat collection.
+
+    Roots are drawn uniformly, or taken from ``roots`` (one set each).
+    """
     rng = RandomSource(seed)
     collection = FlatRRCollection(graph.n, graph.m, track_traces=True)
-    for _ in range(count):
-        root = rng.randrange(graph.n)
+    for index in range(count):
+        root = rng.randrange(graph.n) if roots is None else int(roots[index])
         if model == "IC":
             collection.append(ic_rr_set(graph, root, rng, max_depth=max_depth))
         else:
@@ -99,8 +102,8 @@ def oracle_batch(graph, model, count, seed, max_depth=None):
     return collection
 
 
-def assert_same_distribution(batch, oracle, floor):
-    """Per-node inclusion within 5σ plus ``floor``; mean size and width within 5%."""
+def assert_same_inclusion(batch, oracle, floor):
+    """Per-node inclusion rates within 5σ plus ``floor``."""
     count = len(oracle)
     expected = oracle.node_frequency_array() / count
     observed = batch.node_frequency_array() / len(batch)
@@ -108,5 +111,23 @@ def assert_same_distribution(batch, oracle, floor):
     # the rarely-included nodes.
     sigma = np.sqrt(np.maximum(expected * (1 - expected), 1e-4) / count)
     assert np.all(np.abs(observed - expected) < 5 * sigma + floor)
+
+
+def assert_same_distribution(batch, oracle, floor):
+    """Per-node inclusion within 5σ plus ``floor``; mean size and width within 5%."""
+    assert_same_inclusion(batch, oracle, floor)
     assert batch.set_sizes().mean() == pytest.approx(oracle.set_sizes().mean(), rel=0.05)
     assert batch.widths_array.mean() == pytest.approx(oracle.widths_array.mean(), rel=0.05)
+
+
+def assert_same_means(observed, expected, z=5.0):
+    """Two samples' means within ``z`` standard errors of their difference.
+
+    For heavy-tailed per-set figures (sets through a hub, live cascades),
+    whose sampling noise can exceed a fixed relative band.
+    """
+    observed = np.asarray(observed, dtype=np.float64)
+    expected = np.asarray(expected, dtype=np.float64)
+    error = np.sqrt(observed.var() / observed.size + expected.var() / expected.size)
+    assert abs(observed.mean() - expected.mean()) <= z * error + 1e-12, (
+        observed.mean(), expected.mean(), error)

@@ -1,12 +1,16 @@
 """Tests for greedy maximum coverage."""
 
+import numpy as np
 import pytest
 
 from repro.rrset import (
     brute_force_max_coverage,
+    coverage,
     coverage_of,
     greedy_max_coverage,
 )
+from repro.rrset.coverage import _GreedyKernel, _inverted_index
+from repro.utils.memory import track_peak
 from tests.rrset.greedy_oracle import reference_greedy
 
 
@@ -199,3 +203,47 @@ class TestBruteForce:
         result = brute_force_max_coverage(sets, 3, 2)
         assert result.covered == 2
         assert result.seeds == [0, 1]
+
+
+def random_sketch(num_sets, num_nodes=2000, seed=3):
+    """Random flat sets of 1–79 members, every one holding node 0."""
+    rng = np.random.default_rng(seed)
+    ptr = np.zeros(num_sets + 1, dtype=np.int64)
+    np.cumsum(rng.integers(1, 80, size=num_sets), out=ptr[1:])
+    nodes = rng.integers(1, num_nodes, size=int(ptr[-1])).astype(np.int32)
+    nodes[ptr[:-1]] = 0
+    return ptr, nodes
+
+
+class TestGreedyGather:
+    """A pick decrements the counts over bounded steps of gathered members."""
+
+    @pytest.mark.parametrize("step", [1, 7, 100])
+    def test_stepped_picks_equal_one_gather(self, monkeypatch, step):
+        ptr, nodes = random_sketch(600, num_nodes=50)
+        whole = _GreedyKernel(ptr, nodes, *_inverted_index(ptr, nodes, 50))
+        whole.extend_to(10)
+        monkeypatch.setattr(coverage, "GREEDY_GATHER_ENTRIES", step)
+        stepped = _GreedyKernel(ptr, nodes, *_inverted_index(ptr, nodes, 50))
+        stepped.extend_to(10)
+        assert stepped.seeds == whole.seeds
+        assert stepped.gains == whole.gains
+        assert np.array_equal(stepped.counts, whole.counts)
+        assert np.array_equal(stepped.covered, whole.covered)
+
+    def test_scratch_stays_flat_as_the_pick_grows(self, monkeypatch):
+        # Node 0 is in every set, so its pick gathers every member; in one
+        # gather that held about 24 bytes an entry.
+        monkeypatch.setattr(coverage, "GREEDY_GATHER_ENTRIES", 512)
+
+        def scratch(num_sets):
+            ptr, nodes = random_sketch(num_sets)
+            kernel = _GreedyKernel(ptr, nodes, *_inverted_index(ptr, nodes, 2000))
+            with track_peak() as tracker:
+                kernel.take(0)
+            assert kernel.gains == [num_sets]
+            return tracker.peak_bytes, nodes.size
+
+        small, small_entries = scratch(2_000)
+        large, large_entries = scratch(8_000)
+        assert large - small < large_entries - small_entries
