@@ -5,8 +5,10 @@ weighted-cascade graph the sampler benchmarks use:
 
 * **rebuild** — ``SketchIndex.build`` from scratch on the post-update graph
   at the same θ (what a static system pays per edge update);
-* **repair**  — ``SketchIndex.apply_update``: trace-aware invalidation plus
-  resampling of only the affected RR sets.
+* **repair**  — ``SketchIndex.apply_update``: trace-aware invalidation,
+  then only the affected RR sets are rewritten; the traced IC sketch built
+  here extends or shrinks them over their stored live edges, with no
+  resampling.
 
 For each probed update (a delete, an insert, and a reweight on sampled
 edges) the script measures both paths and checks three acceptance bars:

@@ -4,10 +4,11 @@ The paper's machinery assumes a static graph; this package opens the
 evolving-network workload the ROADMAP targets.  Three layers:
 
 * :class:`~repro.dynamic.graph.DynamicDiGraph` — a mutable overlay that
-  applies edge inserts/deletes/reweights by CSR re-materialization
+  applies edge inserts/deletes/reweights as spliced CSR snapshots
   (:mod:`repro.graphs.delta`) and versions every snapshot by fingerprint;
 * :mod:`repro.dynamic.repair` — incremental RR-sketch repair: trace-aware
-  invalidation plus deterministic resampling of only the affected sets;
+  invalidation, then exact extension or shrink of the affected sets on a
+  traced IC sketch, or deterministic resampling of them otherwise;
 * the integration points: :meth:`repro.sketch.index.SketchIndex
   .apply_update`, the service's ``update`` op, and the CLI ``update``
   subcommand.

@@ -3,10 +3,11 @@
 The rest of the system (samplers, sketch files, service caches) is built on
 immutable :class:`~repro.graphs.digraph.DiGraph` snapshots keyed by content
 fingerprint.  ``DynamicDiGraph`` is the thin mutable façade an evolving
-workload talks to: it holds the *current* snapshot, applies edge updates by
-CSR re-materialization (:mod:`repro.graphs.delta`), bumps a version counter,
-and keeps the fingerprint lineage so every historical cache key can be
-traced to the version that produced it.
+workload talks to: it holds the *current* snapshot, applies edge updates as
+spliced snapshots (:mod:`repro.graphs.delta`: one entry of each CSR edited,
+no re-sort of the edges), bumps a version counter, and keeps the
+fingerprint lineage so every historical cache key can be traced to the
+version that produced it.
 
 The returned :class:`~repro.graphs.delta.GraphDelta` objects are the
 currency of incremental sketch repair — hold on to them in the order they

@@ -68,6 +68,33 @@ class DiGraph:
     )
 
     def __init__(self, num_nodes: int, src, dst, prob=None):
+        self._set_edges(num_nodes, src, dst, prob)
+        self.out_ptr, self.out_idx, self.out_prob = self._build_csr(self.src, self.dst)
+        self.in_ptr, self.in_idx, self.in_prob = self._build_csr(self.dst, self.src)
+        self._in_adj_cache = None
+        self._out_adj_cache = None
+        self._fingerprint_cache = None
+
+    @classmethod
+    def _from_csr(cls, num_nodes: int, src, dst, prob, out_csr, in_csr) -> "DiGraph":
+        """A graph over edge arrays whose CSR triplets the caller already built.
+
+        :mod:`repro.graphs.delta` edits one entry of each CSR for a one-edge
+        change instead of re-sorting every edge.  The edge arrays pass every
+        check ``__init__`` runs; each triplet must be ``(ptr, idx, prob)`` as
+        :meth:`_build_csr` would give it.
+        """
+        graph = cls.__new__(cls)
+        graph._set_edges(num_nodes, src, dst, prob)
+        graph.out_ptr, graph.out_idx, graph.out_prob = out_csr
+        graph.in_ptr, graph.in_idx, graph.in_prob = in_csr
+        graph._in_adj_cache = None
+        graph._out_adj_cache = None
+        graph._fingerprint_cache = None
+        return graph
+
+    def _set_edges(self, num_nodes: int, src, dst, prob) -> None:
+        """Store and check the node count and the edge arrays."""
         require(num_nodes >= 0, "num_nodes must be non-negative")
         self.n = int(num_nodes)
         self.src = np.ascontiguousarray(src, dtype=np.int64)
@@ -88,19 +115,14 @@ class DiGraph:
             if lo < 0.0 or hi > 1.0:
                 raise ValueError(f"edge probabilities must lie in [0, 1]; saw [{lo}, {hi}]")
 
-        self.out_ptr, self.out_idx, self.out_prob = self._build_csr(self.src, self.dst)
-        self.in_ptr, self.in_idx, self.in_prob = self._build_csr(self.dst, self.src)
-        self._in_adj_cache = None
-        self._out_adj_cache = None
-        self._fingerprint_cache = None
-
     def _build_csr(self, keys: np.ndarray, values: np.ndarray):
         """CSR arrays grouping ``values``/``prob`` by ``keys``.
 
         The grouping is stable: each node's slice lists its edges in
-        input-edge order.  :mod:`repro.graphs.delta` relies on this to map
-        an edge's input index to its in-CSR position and to shift in-CSR
-        edge ids by one when an edge is inserted or deleted.
+        input-edge order.  :mod:`repro.graphs.delta` relies on this to
+        splice a one-edge change into both CSRs (an appended edge lands
+        last in its slices) and to shift in-CSR edge ids by one when an
+        edge is inserted or deleted.
         """
         counts = np.bincount(keys, minlength=self.n)
         ptr = np.zeros(self.n + 1, dtype=np.int64)

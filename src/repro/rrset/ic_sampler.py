@@ -30,6 +30,8 @@ Python objects are created on the hot path.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from repro.graphs.digraph import DiGraph
@@ -101,25 +103,18 @@ class ICRRSampler(RRSampler):
         #: Depth truncation for the time-critical (bounded-horizon) IC model:
         #: a node enters the RR set only via live paths of length <= max_depth.
         self.max_depth = max_depth
-        #: Per node: the shared in-probability if uniform, NaN otherwise
-        #: (computed straight off the CSR arrays — no Python materialisation,
-        #: so pool workers sampling over a shared graph stay at the one-copy
-        #: memory footprint).
-        self._np_unif_p = self._uniform_in_probs()
         self._np_in_deg = graph.in_degrees()
-        #: Per node, how a wave expands it: ``c = -1/ln(1-p)`` for a shared
-        #: in-probability p in (0, 1], so that ``⌊E·c⌋`` with E ~ Exp(1) is a
-        #: Geometric(p) gap (``P(⌊E·c⌋ >= j) = (1-p)^j``; c = 0 at p = 1);
-        #: NaN when the in-probabilities differ (coin by coin); +inf when no
-        #: coin can succeed (in-degree 0 or p = 0).
-        scale = np.where(np.isnan(self._np_unif_p) & (self._np_in_deg > 0), np.nan, np.inf)
-        gaps = self._np_unif_p > 0
-        with np.errstate(divide="ignore", over="ignore"):
-            scale[gaps] = -1.0 / np.log1p(-self._np_unif_p[gaps])
-        self._np_gap_scale = scale
 
-    def _uniform_in_probs(self) -> np.ndarray:
-        """Per-node shared in-probability (NaN when mixed or in-degree 0)."""
+    @cached_property
+    def _np_unif_p(self) -> np.ndarray:
+        """Per node: the shared in-probability if uniform, NaN otherwise.
+
+        NaN also at in-degree 0.  Computed straight off the CSR arrays (no
+        Python materialisation, so pool workers sampling over a shared graph
+        stay at the one-copy memory footprint), on first use: a sampler that
+        never samples, such as the one a traced IC repair binds to the new
+        snapshot, never pays for it.
+        """
         graph = self.graph
         out = np.full(graph.n, np.nan, dtype=np.float64)
         if graph.m == 0:
@@ -132,6 +127,22 @@ class ICRRSampler(RRSampler):
         uniform = (in_deg > 0) & ~mixed
         out[uniform] = graph.in_prob[graph.in_ptr[:-1][uniform]]
         return out
+
+    @cached_property
+    def _np_gap_scale(self) -> np.ndarray:
+        """Per node, how a wave expands it (computed on first use).
+
+        ``c = -1/ln(1-p)`` for a shared in-probability p in (0, 1], so that
+        ``⌊E·c⌋`` with E ~ Exp(1) is a Geometric(p) gap (``P(⌊E·c⌋ >= j) =
+        (1-p)^j``; c = 0 at p = 1); NaN when the in-probabilities differ
+        (coin by coin); +inf when no coin can succeed (in-degree 0 or p = 0).
+        """
+        unif_p = self._np_unif_p
+        scale = np.where(np.isnan(unif_p) & (self._np_in_deg > 0), np.nan, np.inf)
+        gaps = unif_p > 0
+        with np.errstate(divide="ignore", over="ignore"):
+            scale[gaps] = -1.0 / np.log1p(-unif_p[gaps])
+        return scale
 
     def sample_batch(self, roots, rng) -> FlatRRCollection:
         """Generate one IC RR set per root with numpy-batched expansion.

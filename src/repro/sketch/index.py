@@ -25,7 +25,8 @@ sets an ε needs for a budget ``k`` is priced in one place,
 Edge updates: :meth:`apply_update` repairs only the RR sets an update
 touched (:mod:`repro.dynamic.repair`) and patches the postings of just the
 nodes whose membership changed, so they stay equal to a fresh build; only
-the greedy state starts over.  An update costs what it touches, not a
+the greedy state starts over.  An update costs what it touches plus one
+copy of the payload arrays (a repair never mutates its input), not a
 rebuild of the whole index.
 """
 
@@ -372,12 +373,13 @@ class SketchIndex:
         snapshot (sharded across ``jobs`` workers with ``SeedSequence.spawn``
         streams, so the repaired bytes are worker-count invariant).
 
-        Built postings are patched for the rewritten sets only, and the
-        patch is computed before any index state changes: if the repair or
-        the patch raises, the index keeps serving the old snapshot.  The
-        index then rebinds to the new graph: fingerprint metadata moves
-        forward, stale pricings drop, and the greedy selection state
-        starts over from the patched postings.
+        Built postings name the sets that hold the updated edge's head
+        without a scan of the sketch, and are then patched for the
+        rewritten sets only.  The patch is computed before any index state
+        changes: if the repair or the patch raises, the index keeps serving
+        the old snapshot.  The index then rebinds to the new graph:
+        fingerprint metadata moves forward, stale pricings drop, and the
+        greedy selection state starts over from the patched postings.
 
         Returns the :class:`~repro.dynamic.repair.RepairReport`.
         """
@@ -402,13 +404,15 @@ class SketchIndex:
         )
         with obs.trace("repair.apply_update", action=delta.op):
             faults.checkpoint("sketch.apply_update")
-            repaired, report = repair_collection(
-                self.collection, delta, sampler, rng=resolve_rng(rng)
-            )
             postings: tuple[np.ndarray[Any, Any], np.ndarray[Any, Any]] | None = None
             if self._inv_ptr is not None and self._inv_sets is not None:
+                postings = (self._inv_ptr, self._inv_sets)
+            repaired, report = repair_collection(
+                self.collection, delta, sampler, rng=resolve_rng(rng), postings=postings
+            )
+            if postings is not None:
                 postings = _patch_postings(
-                    self._inv_ptr, self._inv_sets,
+                    *postings,
                     self.collection.ptr_array, self.collection.nodes_array,
                     repaired.ptr_array, repaired.nodes_array, report.replaced,
                 )

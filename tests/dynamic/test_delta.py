@@ -1,7 +1,9 @@
-"""Graph delta primitives: CSR re-materialization and edge-id remapping."""
+"""Graph delta primitives: spliced CSR snapshots and edge-id remapping."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graphs import (
     DiGraph,
@@ -135,3 +137,149 @@ class TestLocate:
         g = DiGraph(3, np.array([0]), np.array([1]), np.array([0.5]))
         with pytest.raises(KeyError):
             locate_edge(g, 1, 0)
+
+
+# ----------------------------------------------------------------------
+# Spliced snapshots equal a from-scratch build
+# ----------------------------------------------------------------------
+GRAPH_ARRAYS = ("src", "dst", "prob", "out_ptr", "out_idx", "out_prob",
+                "in_ptr", "in_idx", "in_prob")
+
+
+def expected_graph(graph, op, u, v, prob):
+    """``DiGraph(n, src', dst', prob')`` for the edited edge list."""
+    src, dst, probs = graph.src, graph.dst, graph.prob
+    if op == "insert":
+        return DiGraph(graph.n, np.append(src, u), np.append(dst, v), np.append(probs, prob))
+    first = int(np.flatnonzero((src == u) & (dst == v))[0])
+    if op == "delete":
+        return DiGraph(graph.n, np.delete(src, first), np.delete(dst, first),
+                       np.delete(probs, first))
+    probs = probs.copy()
+    probs[first] = prob
+    return DiGraph(graph.n, src, dst, probs)
+
+
+def apply(graph, op, u, v, prob):
+    if op == "insert":
+        return insert_edge(graph, u, v, prob)
+    if op == "delete":
+        return delete_edge(graph, u, v)
+    return reweight_edge(graph, u, v, prob)
+
+
+def assert_spliced(graph, op, u, v, prob=0.5):
+    """The primitive's snapshot equals a from-scratch build, array for array."""
+    delta = apply(graph, op, u, v, prob)
+    want = expected_graph(graph, op, u, v, prob)
+    got = delta.new_graph
+    assert (got.n, got.m) == (want.n, want.m)
+    for name in GRAPH_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+    assert delta.new_fingerprint == got.fingerprint() == want.fingerprint()
+    return delta
+
+
+@st.composite
+def graphs_and_updates(draw):
+    """Small graphs (parallel edges and self-loops likely) and one valid update."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    m = draw(st.integers(min_value=0, max_value=14))
+    node = st.integers(min_value=0, max_value=n - 1)
+    prob = st.floats(min_value=0.0, max_value=1.0)
+    src = draw(st.lists(node, min_size=m, max_size=m))
+    dst = draw(st.lists(node, min_size=m, max_size=m))
+    graph = DiGraph(n, np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64),
+                    np.array(draw(st.lists(prob, min_size=m, max_size=m)), dtype=np.float64))
+    op = draw(st.sampled_from(("insert", "delete", "reweight") if m else ("insert",)))
+    if op == "insert":
+        u, v = draw(node), draw(node)
+    else:
+        edge = draw(st.integers(min_value=0, max_value=m - 1))
+        u, v = src[edge], dst[edge]
+    return graph, op, u, v, draw(prob)
+
+
+class TestSplicedSnapshot:
+    @given(graphs_and_updates())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_a_from_scratch_build(self, case):
+        assert_spliced(*case)
+
+    @pytest.mark.parametrize("op", ["insert", "delete", "reweight"])
+    def test_edges_at_the_first_and_last_node(self, op):
+        g = DiGraph(5, np.array([0, 4, 2, 0, 4]), np.array([4, 0, 2, 0, 4]),
+                    np.array([0.1, 0.2, 0.3, 0.4, 0.5]))
+        for u, v in ((0, 4), (4, 0), (0, 0), (4, 4)):
+            assert_spliced(g, op, u, v, 0.75)
+
+    def test_delete_that_empties_an_in_slice(self):
+        g = DiGraph(4, np.array([0, 1, 2]), np.array([1, 3, 3]), np.array([0.5, 0.25, 0.75]))
+        delta = assert_spliced(g, "delete", 0, 1)
+        assert delta.new_graph.in_degree(1) == 0
+
+    def test_delete_of_the_last_edge(self):
+        g = DiGraph(3, np.array([2]), np.array([0]), np.array([0.5]))
+        delta = assert_spliced(g, "delete", 2, 0)
+        assert delta.new_graph.m == 0
+        assert delta.new_graph.out_ptr.tolist() == delta.new_graph.in_ptr.tolist() == [0] * 4
+
+    def test_insert_parallel_to_an_existing_edge(self):
+        g = DiGraph(3, np.array([0, 1, 0]), np.array([2, 2, 1]), np.array([0.1, 0.2, 0.3]))
+        delta = assert_spliced(g, "insert", 0, 2, 0.9)
+        assert delta.new_graph.in_idx[delta.in_pos] == 0
+        assert delta.new_graph.in_neighbors(2).tolist() == [0, 1, 0]
+        assert delta.new_graph.out_neighbors(0).tolist() == [2, 1, 2]
+
+    def test_insert_into_an_empty_graph(self):
+        assert_spliced(DiGraph(2, np.array([]), np.array([]), np.array([])), "insert", 1, 0)
+
+
+class TestSplicedRejections:
+    """Every update the constructor would reject is still rejected."""
+
+    @given(st.integers(min_value=-2, max_value=4), st.integers(min_value=-2, max_value=4),
+           st.floats(min_value=-0.5, max_value=1.5))
+    @settings(max_examples=100, deadline=None)
+    def test_insert_rejects_what_the_constructor_rejects(self, u, v, prob):
+        g = DiGraph(3, np.array([0, 1]), np.array([1, 2]), np.array([0.5, 0.5]))
+        try:
+            expected_graph(g, "insert", u, v, prob)
+        except ValueError:
+            with pytest.raises(ValueError):
+                insert_edge(g, u, v, prob)
+        else:
+            assert_spliced(g, "insert", u, v, prob)
+
+    @pytest.mark.parametrize("prob", [-0.1, 1.5])
+    def test_reweight_rejects_a_bad_probability(self, prob):
+        g = DiGraph(3, np.array([0, 1]), np.array([1, 2]), np.array([0.5, 0.5]))
+        with pytest.raises(ValueError):
+            expected_graph(g, "reweight", 0, 1, prob)
+        with pytest.raises(ValueError):
+            reweight_edge(g, 0, 1, prob)
+
+    @pytest.mark.parametrize("op", ["delete", "reweight"])
+    @pytest.mark.parametrize("u, v", [(-1, 1), (0, 3), (3, 0)])
+    def test_out_of_range_endpoints(self, op, u, v):
+        g = DiGraph(3, np.array([0, 1]), np.array([1, 2]), np.array([0.5, 0.5]))
+        with pytest.raises(ValueError):
+            apply(g, op, u, v, 0.5)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("src", 3, "src node id out of range"),
+        ("dst", -1, "dst node id out of range"),
+        ("prob", 1.25, "edge probabilities must lie in"),
+    ])
+    def test_private_constructor_runs_the_checks(self, field, value, message):
+        g = DiGraph(3, np.array([0, 1]), np.array([1, 2]), np.array([0.5, 0.5]))
+        arrays = {"src": g.src.copy(), "dst": g.dst.copy(), "prob": g.prob.copy()}
+        arrays[field][0] = value
+        with pytest.raises(ValueError, match=message):
+            DiGraph(3, arrays["src"], arrays["dst"], arrays["prob"])
+        with pytest.raises(ValueError, match=message):
+            DiGraph._from_csr(3, arrays["src"], arrays["dst"], arrays["prob"],
+                              (g.out_ptr, g.out_idx, g.out_prob),
+                              (g.in_ptr, g.in_idx, g.in_prob))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.dynamic import DynamicDiGraph, affected_set_ids, repair_collection
+from repro.dynamic.repair import _affected, _member_set_ids
 from repro.graphs import (
     GraphBuilder,
     delete_edge,
@@ -15,9 +16,24 @@ from repro.graphs import (
 )
 from repro.parallel import ParallelSampler
 from repro.rrset import make_rr_sampler
+from repro.rrset.coverage import _inverted_index
 from repro.rrset.ic_sampler import ICRRSampler
 from repro.sketch import SketchIndex
 from repro.utils.rng import RandomSource
+
+
+#: The resample path (LT, untraced IC) is biased at the updated edge's head.
+ITEM_10 = pytest.mark.xfail(strict=True, reason="ROADMAP item 10")
+OPS = ("delete", "insert", "reweight-up", "reweight-down")
+#: LT insert and reweight-up need in-weights that sum below 1; they wait
+#: for the exact LT rules of ROADMAP item 10.
+DISTRIBUTION_CASES = (
+    [pytest.param("IC", True, op, id=op) for op in OPS]
+    + [pytest.param("IC", False, op, id=f"IC-untraced-{op}", marks=ITEM_10) for op in OPS]
+    + [pytest.param("LT", traced, op, id=f"LT-{'traced' if traced else 'untraced'}-{op}",
+                    marks=ITEM_10)
+       for traced in (True, False) for op in ("delete", "reweight-down")]
+)
 
 
 def wc_graph(n=120, m=600, rng=11):
@@ -140,6 +156,81 @@ class TestInvalidationRulesLT:
             assert (i in affected) == (member and not picked)
 
 
+def rule_table(collection, delta, model):
+    """The module doc's invalidation table, checked set by set over every set."""
+    q, lo, hi, v = delta.in_pos, delta.slice_lo, delta.slice_hi, delta.v
+    down = delta.op == "delete" or (delta.op == "reweight" and delta.new_prob < delta.old_prob)
+    ptr, nodes = collection.ptr_array, collection.nodes_array
+    hit = []
+    for i in range(len(collection)):
+        member = v in nodes[ptr[i] : ptr[i + 1]].tolist()
+        trace = collection.trace_of(i) if collection.has_traces else None
+
+        def holds(a, b):
+            return bool(np.any((trace >= a) & (trace < b)))
+
+        if delta.op == "reweight" and delta.new_prob == delta.old_prob:
+            flagged = False
+        elif trace is None or (model == "IC" and delta.op == "insert"):
+            flagged = member
+        elif model == "IC":
+            flagged = holds(q, q + 1) if down else member and not holds(q, q + 1)
+        elif delta.op == "insert":
+            flagged = member and not holds(lo, hi)
+        else:
+            flagged = holds(q, hi) if down else member and not holds(lo, q)
+        if flagged:
+            hit.append(i)
+    return hit
+
+
+class TestInvalidationByPostings:
+    """The sets holding ``v`` come from its postings slice when the index has
+    postings: the invalidated sets and the repaired bytes must be what the
+    whole-payload rules give."""
+
+    @pytest.mark.parametrize("model", ["IC", "LT"])
+    @pytest.mark.parametrize("traced", [True, False])
+    @pytest.mark.parametrize("op", ["insert", "delete", "reweight-up", "reweight-down",
+                                    "reweight-same"])
+    def test_postings_name_the_sets_the_rules_name(self, model, traced, op):
+        base = (wc_graph() if model == "IC"
+                else uniform_random_lt(gnm_random_digraph(120, 600, rng=11), rng=2))
+        g = base.with_probabilities(base.prob * 0.8)  # LT headroom for inserts
+        coll = make_rr_sampler(g, model, trace_edges=traced).sample_random_batch(
+            700, RandomSource(9))
+        u, v = int(g.src[5]), int(g.dst[5])
+        p = g.edge_probability(u, v)
+        delta = {
+            "insert": lambda: insert_edge(g, (v + 7) % g.n, v, 0.05),
+            "delete": lambda: delete_edge(g, u, v),
+            "reweight-up": lambda: reweight_edge(g, u, v, p + 0.05),
+            "reweight-down": lambda: reweight_edge(g, u, v, p / 2),
+            "reweight-same": lambda: reweight_edge(g, u, v, p),
+        }[op]()
+        postings = _inverted_index(coll.ptr_array, coll.nodes_array, g.n)
+        want = rule_table(coll, delta, model)
+        assert affected_set_ids(coll, delta, model).tolist() == want
+        members = _member_set_ids(coll, delta.v, postings)
+        assert _affected(coll, delta, model, members).tolist() == want
+        if op != "reweight-same":
+            assert want  # the rule flagged sets, so the comparison has teeth
+
+        sampler = make_rr_sampler(delta.new_graph, model, trace_edges=traced)
+        scanned, scan_report = repair_collection(coll, delta, sampler, rng=4)
+        indexed, index_report = repair_collection(coll, delta, sampler, rng=4,
+                                                  postings=postings)
+        assert index_report == scan_report
+        assert index_report.replaced.tolist() == scan_report.replaced.tolist()
+        for name in ("ptr_array", "nodes_array", "roots_array", "widths_array",
+                     "costs_array", "trace_ptr_array", "trace_edges_array"):
+            a, b = getattr(indexed, name), getattr(scanned, name)
+            if a is None:
+                assert b is None
+                continue
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
 class TestRepair:
     @pytest.mark.parametrize("model", ["IC", "LT"])
     def test_repair_keeps_unaffected_sets_and_fixes_widths(self, model):
@@ -238,14 +329,20 @@ class TestRepair:
         with pytest.raises(ValueError, match="post-update graph"):
             repair_collection(coll, delta, sampler, rng=3)
 
-    @pytest.mark.parametrize("op", ["delete", "insert", "reweight-up", "reweight-down"])
-    def test_repaired_distribution_matches_cold_sampling(self, op):
+    @pytest.mark.parametrize("model, traced, op", DISTRIBUTION_CASES)
+    def test_repaired_distribution_matches_cold_sampling(self, model, traced, op):
         """Per-node membership frequencies of a repaired collection agree
         with a cold new-graph sample within Monte-Carlo tolerance — for
-        traced IC this is backed by the exact extension/shrink repair."""
-        g = wc_graph(n=40, m=200, rng=21)
+        traced IC this is backed by the exact extension/shrink repair.  The
+        resample path (LT, untraced IC) under-counts the updated edge's head
+        node, so its cases fail until ROADMAP item 10 lands."""
+        if model == "IC":
+            g = wc_graph(n=40, m=200, rng=21)
+        else:
+            g = uniform_random_lt(gnm_random_digraph(40, 200, rng=21), rng=21)
         theta = 6000
-        coll, _ = traced_collection(g, theta=theta, seed=1)
+        sampler = make_rr_sampler(g, model, trace_edges=traced)
+        coll = sampler.sample_random_batch(theta, RandomSource(1))
         u, v = int(g.src[3]), int(g.dst[3])
         if op == "delete":
             delta = delete_edge(g, u, v)
@@ -255,9 +352,9 @@ class TestRepair:
             delta = reweight_edge(g, u, v, min(1.0, g.edge_probability(u, v) * 4))
         else:
             delta = reweight_edge(g, u, v, g.edge_probability(u, v) / 4)
-        sampler = make_rr_sampler(delta.new_graph, "IC", trace_edges=True)
+        sampler = make_rr_sampler(delta.new_graph, model, trace_edges=traced)
         repaired, report = repair_collection(coll, delta, sampler, rng=55)
-        assert report.exact
+        assert report.exact == (model == "IC" and traced)
         cold = sampler.sample_random_batch(theta, RandomSource(99))
         freq_repaired = repaired.node_frequency_array() / theta
         freq_cold = cold.node_frequency_array() / theta
@@ -265,7 +362,8 @@ class TestRepair:
         tol = 5.0 * np.sqrt(0.25 / theta) * 2
         assert np.max(np.abs(freq_repaired - freq_cold)) < tol
         assert_widths_consistent(repaired, delta.new_graph)
-        assert_traces_consistent(repaired, delta.new_graph)
+        if traced:
+            assert_traces_consistent(repaired, delta.new_graph)
 
     def test_exact_repair_candidates_vs_modified(self):
         """Extension candidates change only when their conditional coin
